@@ -73,17 +73,6 @@ def annulus_capacity_fd(a: float, big_r: float, d: int, n: int = 4096) -> float:
     return sphere_area(d) * energy
 
 
-@dataclass(frozen=True)
-class AnnulusCell:
-    center: np.ndarray
-    inner: float
-    outer: float
-
-    def __post_init__(self):
-        if not 0 < self.inner < self.outer:
-            raise ValueError("annulus needs 0 < inner < outer")
-
-
 class CorrectorField:
     """Disjoint annulus cells defining the oscillating corrector.
 
@@ -106,10 +95,6 @@ class CorrectorField:
 
     def __len__(self):
         return self.inner.size
-
-    def cells(self):
-        for k in range(len(self)):
-            yield AnnulusCell(self.centers[k], float(self.inner[k]), float(self.outer[k]))
 
     @staticmethod
     def empty(d: int) -> "CorrectorField":

@@ -331,8 +331,8 @@ def verify_random_covering(cov: RandomCovering) -> CoveringReport:
         # cube centres are the thinned points themselves; half-sides are at
         # most eps/2, so overlapping cubes sit within rescaled distance one
         centers = (cov.cube_lo + cov.cube_hi) / 2.0
-        sub = SpatialIndex(centers / eps, cell_size=1.0)
-        i, j = sub.close_pairs(1.0, norm="chebyshev")
+        sub = SpatialIndex(centers / eps)
+        i, j = sub.close_pairs(1.0)
         if i.size:
             gap = np.minimum(cov.cube_hi[i], cov.cube_hi[j]) - np.maximum(cov.cube_lo[i], cov.cube_lo[j])
             bad = np.all(gap > 1e-12, axis=1)

@@ -1,180 +1,52 @@
-"""Uniform-grid spatial hash over rescaled point configurations.
+"""Maximum-norm neighbour search over rescaled point configurations.
 
-Points live in the rescaled domain, where unit spacing is the natural
-scale, so the grid uses cells of side one by default.  Neighbour
-separation throughout the package is measured in the maximum norm; with
-that convention the per-point safety cubes used by the randomized covering
-are pairwise disjoint, which the Euclidean convention does not guarantee.
-Queries support both norms.
+Neighbour separation throughout the package is measured in the maximum
+norm; with that convention the per-point safety cubes used by the
+randomized covering are pairwise disjoint, which the Euclidean convention
+does not guarantee.  Every ball is closed: a point at distance exactly r
+lies within r.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
-
-
-def _expand_blocks(counts_a, starts_a, counts_b, starts_b):
-    """Cartesian index pairs for matched blocks of two sorted layouts."""
-    sizes = counts_a * counts_b
-    total = int(sizes.sum())
-    if total == 0:
-        z = np.empty(0, dtype=np.int64)
-        return z, z
-    blk = np.repeat(np.arange(sizes.size), sizes)
-    off = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    r = np.arange(total, dtype=np.int64) - off[blk]
-    ia = starts_a[blk] + r // counts_b[blk]
-    ib = starts_b[blk] + r % counts_b[blk]
-    return ia, ib
+from scipy.spatial import cKDTree
 
 
 class SpatialIndex:
-    """Bucket grid with O(1) cell lookup and vectorised pair expansion."""
+    """k-d tree over the points, answering max-norm range queries."""
 
-    def __init__(self, points: np.ndarray, cell_size: float = 1.0):
+    def __init__(self, points: np.ndarray):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be (n, d)")
         self.points = pts
-        self.n, self.d = pts.shape
-        self.cell = float(cell_size)
-        if self.n == 0:
-            self.order = np.empty(0, dtype=np.int64)
-            return
-        self.origin = np.floor(pts.min(axis=0) / self.cell).astype(np.int64)
-        cc = np.floor(pts / self.cell).astype(np.int64) - self.origin
-        self.extent = cc.max(axis=0) + 1
-        self.strides = np.ones(self.d, dtype=np.int64)
-        for a in range(self.d - 2, -1, -1):
-            self.strides[a] = self.strides[a + 1] * self.extent[a + 1]
-        self.cell_coords = cc
-        lin = cc @ self.strides
-        self.order = np.argsort(lin, kind="stable").astype(np.int64)
-        lin_sorted = lin[self.order]
-        boundaries = np.flatnonzero(np.diff(lin_sorted)) + 1
-        self.starts = np.concatenate(([0], boundaries)).astype(np.int64)
-        self.counts = np.diff(np.concatenate((self.starts, [self.n]))).astype(np.int64)
-        self.unique_lin = lin_sorted[self.starts]
-        self.unique_coords = cc[self.order[self.starts]]
+        self.n = pts.shape[0]
+        # the sliding-midpoint build without node compaction is the fastest
+        # to construct on lattice and Poisson centres; answers do not depend
+        # on the build
+        self._tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
 
-    # ------------------------------------------------------------------
-    def _locate_cells(self, coords: np.ndarray):
-        """Positions of the given integer cells in the unique-cell table (-1 if absent)."""
-        valid = np.all((coords >= 0) & (coords < self.extent), axis=1)
-        lin = coords @ self.strides
-        pos = np.searchsorted(self.unique_lin, lin)
-        pos = np.clip(pos, 0, self.unique_lin.size - 1)
-        found = valid & (self.unique_lin[pos] == lin)
-        return np.where(found, pos, -1)
+    def query(self, centers: np.ndarray, radii):
+        """Pairs (c, j) with point j within radii[c] of centers[c], an (m, d) array."""
+        hits = self._tree.query_ball_point(np.atleast_2d(centers), radii, p=np.inf)
+        counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
+        c = np.repeat(np.arange(len(hits), dtype=np.int64), counts)
+        j = np.fromiter(chain.from_iterable(hits), dtype=np.int64, count=c.size)
+        return c, j
 
-    def query(self, x, radius: float, norm: str = "chebyshev") -> np.ndarray:
-        """Indices of all points within ``radius`` of ``x`` (closed ball)."""
-        if self.n == 0:
-            return np.empty(0, dtype=np.int64)
-        x = np.asarray(x, dtype=float)
-        reach = int(np.ceil(radius / self.cell)) + 1
-        base = np.floor(x / self.cell).astype(np.int64) - self.origin
-        ranges = [np.arange(max(0, base[a] - reach), min(self.extent[a], base[a] + reach + 1))
-                  for a in range(self.d)]
-        if any(r.size == 0 for r in ranges):
-            return np.empty(0, dtype=np.int64)
-        grids = np.meshgrid(*ranges, indexing="ij")
-        cells = np.stack([g.ravel() for g in grids], axis=1)
-        pos = self._locate_cells(cells)
-        pos = pos[pos >= 0]
-        if pos.size == 0:
-            return np.empty(0, dtype=np.int64)
-        chunks = [self.order[self.starts[p]:self.starts[p] + self.counts[p]] for p in pos]
-        cand = np.concatenate(chunks)
-        diff = self.points[cand] - x
-        if norm == "chebyshev":
-            dist = np.max(np.abs(diff), axis=1)
-        else:
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        return cand[dist <= radius]
-
-    # ------------------------------------------------------------------
-    def _half_offsets(self, reach: int) -> np.ndarray:
-        """Offsets with positive leading nonzero component (one per pair)."""
-        rng = np.arange(-reach, reach + 1)
-        grids = np.meshgrid(*([rng] * self.d), indexing="ij")
-        offs = np.stack([g.ravel() for g in grids], axis=1)
-        keep = np.zeros(offs.shape[0], dtype=bool)
-        undecided = np.ones(offs.shape[0], dtype=bool)
-        for a in range(self.d):
-            keep |= undecided & (offs[:, a] > 0)
-            undecided &= offs[:, a] == 0
-        return offs[keep]
-
-    def close_pairs(self, max_dist: float, norm: str = "chebyshev"):
-        """All unordered pairs (i, j) with distance <= max_dist."""
-        if self.n == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        reach = int(np.ceil(max_dist / self.cell))
-        out_i, out_j = [], []
-        # same-cell pairs
-        big = self.counts.max() if self.counts.size else 0
-        if big > 1:
-            for p in np.flatnonzero(self.counts > 1):
-                idx = self.order[self.starts[p]:self.starts[p] + self.counts[p]]
-                ii, jj = np.triu_indices(idx.size, k=1)
-                out_i.append(idx[ii])
-                out_j.append(idx[jj])
-        # cross-cell pairs, one direction per offset
-        for off in self._half_offsets(reach):
-            nb = self._locate_cells(self.unique_coords + off)
-            src = np.flatnonzero(nb >= 0)
-            if src.size == 0:
-                continue
-            dst = nb[src]
-            ia, ib = _expand_blocks(self.counts[src], self.starts[src],
-                                    self.counts[dst], self.starts[dst])
-            out_i.append(self.order[ia])
-            out_j.append(self.order[ib])
-        if not out_i:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        i = np.concatenate(out_i)
-        j = np.concatenate(out_j)
-        diff = self.points[i] - self.points[j]
-        if norm == "chebyshev":
-            dist = np.max(np.abs(diff), axis=1)
-        else:
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        keep = dist <= max_dist
-        return i[keep], j[keep]
+    def close_pairs(self, max_dist: float):
+        """All unordered pairs (i, j), i < j, with distance <= max_dist."""
+        pairs = self._tree.query_pairs(max_dist, p=np.inf, output_type="ndarray")
+        return pairs[:, 0], pairs[:, 1]
 
     def nearest_neighbor_distances(self, cap: float = 1.0) -> np.ndarray:
-        """Per-point maximum-norm distance to the nearest other point.
-
-        Distances beyond ``cap`` are reported as ``cap`` (only neighbours in
-        adjacent cells are inspected, which is exact for cap <= cell size).
-        """
-        if cap > self.cell:
-            raise ValueError("cap must not exceed the cell size")
-        dist = np.full(self.n, cap, dtype=float)
+        """Per-point distance to the nearest other point, capped at ``cap``."""
         if self.n < 2:
-            return dist
-        i, j = self.close_pairs(cap, norm="chebyshev")
-        if i.size:
-            d = np.max(np.abs(self.points[i] - self.points[j]), axis=1)
-            np.minimum.at(dist, i, d)
-            np.minimum.at(dist, j, d)
-        return dist
-
-    def candidate_pairs(self, sources: np.ndarray, radius: float):
-        """Pairs (s, j) with j any point within Chebyshev ``radius`` of point s.
-
-        ``sources`` are point indices; pairs with j == s are excluded.
-        Callers refine with their own per-pair predicate.
-        """
-        sources = np.asarray(sources, dtype=np.int64)
-        out_s, out_j = [], []
-        for s in sources:
-            cand = self.query(self.points[s], radius, norm="chebyshev")
-            cand = cand[cand != s]
-            out_s.append(np.full(cand.size, s, dtype=np.int64))
-            out_j.append(cand)
-        if not out_s:
-            z = np.empty(0, dtype=np.int64)
-            return z, z
-        return np.concatenate(out_s), np.concatenate(out_j)
+            return np.full(self.n, cap, dtype=float)
+        # a neighbour at exactly ``cap`` is reported as cap whether or not
+        # the tree's bound admits it, so the bound needs no widening
+        dist, _ = self._tree.query(self.points, k=2, p=np.inf, distance_upper_bound=cap)
+        return np.minimum(dist[:, 1], cap)

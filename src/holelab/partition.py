@@ -69,17 +69,15 @@ def _contagion(config: MarkedConfiguration, core: np.ndarray, a: np.ndarray,
     hit = np.zeros(len(config), dtype=bool)
     trunc = np.minimum(a, 1.0)
     pts = config.points
-    for w in core:
-        # rescaled reach: own radius is at most eps/4
-        reach = 0.25 + 2.0 * trunc[w] / eps
-        cand = config.index.query(pts[w], reach + 1e-12, norm="chebyshev")
-        cand = cand[cand != w]
-        if cand.size == 0:
-            continue
-        diff = pts[cand] - pts[w]
-        dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        hit_w = dist <= own[cand] + 2.0 * trunc[w]
-        hit[cand[hit_w]] = True
+    # rescaled reach: own radius is at most eps/4
+    reach = 0.25 + 2.0 * trunc[core] / eps
+    c, cand = config.index.query(pts[core], reach + 1e-12)
+    w = core[c]
+    keep = cand != w
+    w, cand = w[keep], cand[keep]
+    diff = pts[cand] - pts[w]
+    dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    hit[cand[dist <= own[cand] + 2.0 * trunc[w]]] = True
     return hit
 
 
@@ -175,7 +173,7 @@ def overlap_pairs(config: MarkedConfiguration) -> int:
     if config.is_lattice:
         i = j = np.empty(0, dtype=np.int64)
     else:
-        i, j = config.index.close_pairs(2.0 * b0, norm="chebyshev")
+        i, j = config.index.close_pairs(2.0 * b0)
     if i.size:
         keep = small[i] & small[j]
         i, j = i[keep], j[keep]
@@ -184,22 +182,19 @@ def overlap_pairs(config: MarkedConfiguration) -> int:
             dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
             count += int(np.count_nonzero(dist < a[i] + a[j]))
 
-    seen = set()
-    a_max = float(rescaled.max(initial=0.0))
-    for b in big:
-        reach = rescaled[b] + a_max
-        cand = config.index.query(pts[b], reach + 1e-12, norm="chebyshev")
-        cand = cand[cand != b]
-        if cand.size == 0:
-            continue
-        diff = pts[cand] - pts[b]
-        dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        for k in cand[dist < a[b] + a[cand]]:
-            key = (min(int(b), int(k)), max(int(b), int(k)))
-            if key not in seen:
-                seen.add(key)
-                count += 1
-    return count
+    if big.size == 0:
+        return count
+    a_max = float(rescaled.max())
+    c, k = config.index.query(pts[big], rescaled[big] + a_max + 1e-12)
+    b = big[c]
+    keep = k != b
+    b, k = b[keep], k[keep]
+    diff = pts[k] - pts[b]
+    dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    hit = dist < a[b] + a[k]
+    # a pair of two big holes is found from both ends; count it once
+    pairs = np.stack([np.minimum(b[hit], k[hit]), np.maximum(b[hit], k[hit])], axis=1)
+    return count + np.unique(pairs, axis=0).shape[0]
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +283,7 @@ def verify_partition(config: MarkedConfiguration, partition: HolePartition) -> P
     if good.size > 1:
         trunc = np.minimum(a, 1.0)
         reach = 2.0 * float(trunc[good].max()) / eps
-        i, j = config.index.close_pairs(max(reach, 1e-9), norm="chebyshev")
+        i, j = config.index.close_pairs(max(reach, 1e-9))
         keep = np.isin(i, good) & np.isin(j, good)
         i, j = i[keep], j[keep]
         if i.size:

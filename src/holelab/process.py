@@ -90,7 +90,7 @@ class ProcessSpec:
 
 
 class MarkedConfiguration:
-    """One sampled realization: rescaled centres, marks, and a spatial hash."""
+    """One sampled realization: rescaled centres and marks."""
 
     def __init__(self, spec: ProcessSpec, replicate: int, points: np.ndarray,
                  rho: np.ndarray, lattice_coords: Optional[np.ndarray] = None):
@@ -112,7 +112,7 @@ class MarkedConfiguration:
     @property
     def index(self) -> SpatialIndex:
         if self._index is None:
-            self._index = SpatialIndex(self.points, cell_size=1.0)
+            self._index = SpatialIndex(self.points)
         return self._index
 
     def hole_radii(self, truncate: bool = False) -> np.ndarray:
@@ -211,11 +211,6 @@ def thin_configuration(config: MarkedConfiguration, delta: float) -> np.ndarray:
     r = config.minimal_distances()
     keep = (a <= eps ** (1.0 + delta)) & (r >= 2.0 * math.sqrt(d) * a)
     return np.flatnonzero(keep)
-
-
-def mark_moment(dist: MarkDistribution, p: float) -> float:
-    """Closed-form E[rho^p] (math.inf when divergent)."""
-    return dist.moment(p)
 
 
 # ----------------------------------------------------------------------

@@ -199,8 +199,8 @@ def test_criterion_12_property_suites():
         got = classes_of(part, len(config))
         want = oracle_classes(oracle_partition(config, 0.8), len(config))
         mismatches += int(np.any(got != want))
-    # spatial hash against the quadratic scan
-    hash_bad = 0
+    # spatial index against the quadratic scan
+    index_bad = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(0, 10, size=(int(rng.integers(2, 600)), 3))
@@ -209,7 +209,7 @@ def test_criterion_12_property_suites():
         diff = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
         np.fill_diagonal(diff, np.inf)
         want = np.minimum(diff.min(axis=1), 1.0)
-        hash_bad += int(not np.allclose(got, want))
+        index_bad += int(not np.allclose(got, want))
     # planted-exponent recovery
     eps = [1 / 8, 1 / 16, 1 / 32, 1 / 64]
     stat = EnsembleStat("bad_capacity", eps, 1,
@@ -217,10 +217,10 @@ def test_criterion_12_property_suites():
     fit = fit_rate(stat, target=0.437, tolerance=0.01)
     planted_ok = abs(fit.slope - 0.437) < 0.01
     elapsed = time.perf_counter() - t0
-    ok = mismatches == 0 and hash_bad == 0 and planted_ok
+    ok = mismatches == 0 and index_bad == 0 and planted_ok
     report(12, ok and elapsed < 300,
-           f"partition oracle mismatches {mismatches}/100, hash mismatches "
-           f"{hash_bad}/40, planted slope delta {abs(fit.slope - 0.437):.2e}, "
+           f"partition oracle mismatches {mismatches}/100, index mismatches "
+           f"{index_bad}/40, planted slope delta {abs(fit.slope - 0.437):.2e}, "
            f"{elapsed:.0f}s")
     assert ok
     assert elapsed < 300

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from holelab.cli import main
-from holelab.io_utils import read_field, write_field
+from holelab.io_utils import read_field, write_field, write_json
 
 
 def run(args):
@@ -48,6 +48,42 @@ def test_sample_byte_identical_outputs(tmp_path):
     a = (out1 / "configuration.csv").read_bytes()
     b = (out2 / "configuration.csv").read_bytes()
     assert a == b and len(a) > 100
+
+
+def test_rates_parallel_outputs_match_serial(tmp_path):
+    # each worker process samples its replicates and builds its own index
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "spec": {"d": 3, "epsilon": 0.125, "process": "poisson", "lambda": 1.0,
+                 "marks": {"kind": "pareto", "beta_eff": 0.5},
+                 "domain": {"shape": "axis_cube", "half_width": 0.5},
+                 "master_seed": 5},
+        "quantity": "bad_capacity",
+        "epsilon_grid": [1 / 8, 1 / 10, 1 / 12, 1 / 16],
+        "replicates": 30,
+        "delta": 0.8}))
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        code = run(["rates", "--config", str(cfg), "--workers", workers,
+                    "--out-dir", str(out)])
+        outs.append((code, sorted(os.listdir(out)),
+                     (out / "samples_bad_capacity.csv").read_bytes(),
+                     (out / "fit_bad_capacity.json").read_bytes()))
+    assert outs[0][0] in (0, 1) and len(outs[0][2]) > 100
+    assert outs[0] == outs[1]
+
+
+def test_outputs_get_the_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_json(str(tmp_path / "a.json"), {"x": 1})
+        with open(tmp_path / "b.json", "w") as fh:
+            fh.write("{}")
+    finally:
+        os.umask(old)
+    modes = [os.stat(tmp_path / name).st_mode & 0o777 for name in ("a.json", "b.json")]
+    assert modes == [0o644, 0o644]
 
 
 def test_dry_run_writes_nothing(tmp_path, capsys):

@@ -7,7 +7,7 @@ from holelab import (CorrectorField, DomainDescriptor, MarkDistribution,
                      ProcessSpec, annulus_capacity, annulus_capacity_fd,
                      build_capacity_measure, c0_constant, corrector_energy,
                      corrector_eval, sample_configuration)
-from holelab.corrector import AnnulusCell, capacity_normalization
+from holelab.corrector import capacity_normalization
 
 
 def lattice(eps=0.125, marks=None, seed=0):
@@ -89,8 +89,6 @@ def test_corrector_continuity_on_random_rays():
 
 
 def test_cell_validation():
-    with pytest.raises(ValueError):
-        AnnulusCell(np.zeros(3), 0.5, 0.4)
     with pytest.raises(ValueError):
         CorrectorField(np.zeros((1, 3)), np.array([0.0]), np.array([0.4]), 3)
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from holelab import (DomainDescriptor, MarkDistribution, ProcessSpec,
-                     bad_capacity_sum, overlap_pairs, partition_lattice,
-                     partition_poisson, sample_configuration, verify_partition)
+                     bad_capacity_sum, build_random_covering, overlap_pairs,
+                     partition_lattice, partition_poisson, sample_configuration,
+                     verify_partition, verify_random_covering)
 from holelab.partition import partition_configuration
 
 
@@ -248,3 +249,40 @@ def test_overlap_matches_bruteforce():
                 if np.linalg.norm(centers[i] - centers[j]) < a[i] + a[j]:
                     count += 1
         assert overlap_pairs(config) == count
+
+
+# ----------------------------------------------------------------------
+# unit-ball domain
+# ----------------------------------------------------------------------
+
+def ball_spec(process, epsilon, seed=0):
+    return ProcessSpec(d=3, epsilon=epsilon, process=process,
+                       marks=MarkDistribution.pareto_for_beta(3, 0.5),
+                       domain=DomainDescriptor("unit_ball"),
+                       intensity=1.0 if process == "poisson" else None,
+                       master_seed=seed)
+
+
+def test_unit_ball_lattice_sites_distances_and_partition():
+    eps = 1 / 8
+    config = sample_configuration(ball_spec("lattice", eps), 0)
+    m = 8
+    want = sum(1 for x in range(-m, m + 1) for y in range(-m, m + 1)
+               for z in range(-m, m + 1) if x * x + y * y + z * z <= m * m)
+    assert len(config) == want
+    # every site of the ball has a lattice neighbour one step closer to the
+    # origin; off the full cube the value comes from the neighbour search
+    assert np.all(config.minimal_distances() == eps / 4)
+    part = partition_lattice(config, 0.8)
+    assert verify_partition(config, part).ok
+
+
+def test_unit_ball_poisson_partition_and_covering():
+    config = sample_configuration(ball_spec("poisson", 1 / 16, seed=2), 0)
+    assert np.all(np.einsum("ij,ij->i", config.centers(), config.centers()) <= 1.0)
+    part = partition_poisson(config, 0.8)
+    report = verify_partition(config, part)
+    assert report.ok, [c.detail for c in report.checks if not c.passed]
+    cov = build_random_covering(config, 3)
+    report = verify_random_covering(cov)
+    assert report.ok, report.detail

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from holelab import (DomainDescriptor, MarkDistribution, ProcessSpec,
-                     ResourceLimitError, SpatialIndex, mark_moment,
-                     mecke_check, minimal_distance, sample_configuration,
+                     ResourceLimitError, SpatialIndex, mecke_check, minimal_distance, sample_configuration,
                      thin_configuration)
 
 
@@ -166,36 +165,46 @@ def test_thinning_matches_bruteforce():
 
 
 def test_moments():
-    assert mark_moment(MarkDistribution.constant(2.0), 1) == 2.0
+    assert MarkDistribution.constant(2.0).moment(1) == 2.0
     pareto = MarkDistribution.pareto(3.0, 1.0, d=3)
-    assert mark_moment(pareto, 1) == pytest.approx(1.5)
-    assert mark_moment(pareto, 3) == math.inf
+    assert pareto.moment(1) == pytest.approx(1.5)
+    assert pareto.moment(3) == math.inf
     uni = MarkDistribution.uniform(0.5, 1.5)
-    assert mark_moment(uni, 1) == pytest.approx(1.0)
-    assert mark_moment(uni, 2) == pytest.approx((1.5 ** 3 - 0.5 ** 3) / 3)
+    assert uni.moment(1) == pytest.approx(1.0)
+    assert uni.moment(2) == pytest.approx((1.5 ** 3 - 0.5 ** 3) / 3)
     assert pareto.truncated_moment(1, 2.0) == pytest.approx(
         3.0 * (2.0 ** (1 - 3) - 1.0) / (1 - 3) * 1.0)
 
 
 # ----------------------------------------------------------------------
-# spatial hash against brute force
+# spatial index against brute force
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("norm", ["chebyshev", "euclidean"])
-def test_spatial_hash_queries_match_bruteforce(norm):
+def test_spatial_index_queries_match_bruteforce():
     rng = np.random.default_rng(0)
     for trial in range(20):
         pts = rng.uniform(-5, 5, size=(rng.integers(2, 400), 3))
         index = SpatialIndex(pts)
-        x = rng.uniform(-5, 5, size=3)
-        r = float(rng.uniform(0.1, 2.0))
-        got = np.sort(index.query(x, r, norm=norm))
-        diff = pts - x
-        if norm == "chebyshev":
-            dist = np.max(np.abs(diff), axis=1)
-        else:
-            dist = np.sqrt((diff ** 2).sum(axis=1))
-        assert np.array_equal(got, np.flatnonzero(dist <= r))
+        x = rng.uniform(-5, 5, size=(3, 3))
+        r = rng.uniform(0.1, 2.0, size=3)
+        c, j = index.query(x, r)
+        for m in range(3):
+            dist = np.max(np.abs(pts - x[m]), axis=1)
+            assert np.array_equal(np.sort(j[c == m]), np.flatnonzero(dist <= r[m]))
+
+
+def test_spatial_index_closed_ball_on_integer_lattice():
+    # on Z^3 every neighbour sits at max-norm distance exactly 1, so a strict
+    # comparison anywhere in the index loses all of them
+    n = 5
+    axis = np.arange(n, dtype=float)
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    index = SpatialIndex(pts)
+    i, j = index.close_pairs(1.0)
+    assert i.size == ((3 * n - 2) ** 3 - n ** 3) // 2
+    c, k = index.query(np.array([[2.0, 2.0, 2.0]]), 1.0)
+    assert k.size == 27 and np.all(c == 0)
+    assert np.all(index.nearest_neighbor_distances(cap=1.0) == 1.0)
 
 
 def test_nearest_neighbor_matches_bruteforce_100_seeds():
