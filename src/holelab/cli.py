@@ -46,7 +46,7 @@ _SCHEMAS = {
     "covering": {"spec", "replicate", "k", "delta", "random"},
     "rates": {"spec", "quantity", "epsilon_grid", "replicates", "delta", "k",
               "grid_n", "tolerance"},
-    "hminus": {"spec", "epsilon_grid", "grid_n", "rtol"},
+    "hminus": {"spec", "epsilon_grid", "grid_n"},
     "solve": {"spec", "replicate", "grid_n", "delta", "rtol"},
     "mecke": {"spec", "trials", "functional"},
     "exponents": {"d", "beta", "epsilon"},
@@ -315,7 +315,7 @@ def main(argv=None) -> int:
         if getattr(args, "quantity", None):
             cfg["quantity"] = args.quantity
         if getattr(args, "trials", None) and args.command == "mecke":
-            cfg.setdefault("trials", args.trials)
+            cfg["trials"] = args.trials
         code, summary = _BODIES[args.command](args, cfg)
     except (ConfigError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

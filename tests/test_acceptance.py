@@ -74,8 +74,11 @@ def test_criterion_03_periodic_cell_average():
     elapsed = time.perf_counter() - t0
     c_exact = abs(res.c0 - 4 * math.pi) < 1e-12
     vals = ", ".join(f"{v:.3f}" for v in res.c_values)
+    # the drift's closed form sits exactly on the bound: the verdict is
+    # decided by the last bits of the computed value, so print both
     report(3, res.passed and c_exact and elapsed < 1.0,
-           f"C(eps) = [{vals}], refinement drift {res.finest_drift:.4f} <= 0.05, "
+           f"C(eps) = [{vals}], refinement drift {res.finest_drift:.4f} <= 0.05 "
+           f"(computed {res.finest_drift!r}, closed form (63/64)/(15/16) - 1 = 1/20), "
            f"c0 = 4*pi exact, {elapsed:.2f}s")
     assert c_exact
     assert res.finest_drift <= 0.05

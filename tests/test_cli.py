@@ -138,3 +138,29 @@ def test_field_binary_roundtrip(tmp_path):
     write_field(path, values, 0.5)
     back, h = read_field(path)
     assert h == 0.5 and np.array_equal(back, values)
+
+
+def test_hminus_rtol_key_rejected(tmp_path, capsys):
+    # the cube dual norm is a direct solve; no tolerance is read
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"grid_n": 17, "rtol": 1e-10}))
+    code = run(["hminus", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "rtol" in capsys.readouterr().err
+    assert not (tmp_path / "hminus.csv").exists()
+
+
+def test_trials_flag_overrides_config(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "spec": {"d": 3, "epsilon": 0.25, "process": "poisson", "lambda": 1.0,
+                 "marks": {"kind": "pareto", "beta_eff": 2.0},
+                 "domain": {"shape": "axis_cube", "half_width": 1.0},
+                 "master_seed": 3},
+        "trials": 50, "functional": "count"}))
+    code = run(["mecke", "--config", str(cfg), "--trials", "20",
+                "--out-dir", str(tmp_path)])
+    assert code in (0, 1)
+    rows = (tmp_path / "mecke.csv").read_text().splitlines()
+    assert rows[0].split(",")[:2] == ["functional", "trials"]
+    assert [row.split(",")[:2] for row in rows[1:]] == [["count", "20"]]

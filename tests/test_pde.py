@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from holelab import (CorrectorField, DomainDescriptor, MarkDistribution,
                      ProcessSpec, build_capacity_measure, build_cube_covering,
@@ -9,6 +10,7 @@ from holelab import (CorrectorField, DomainDescriptor, MarkDistribution,
                      homogenization_error, homogenized_solve,
                      neumann_cell_energies, sample_configuration,
                      solve_perforated)
+from holelab import pde
 from holelab.corrector import CapacityMeasure
 from holelab.pde import (Grid, GriddedMeasure, corrector_on_grid,
                          dirichlet_energy_central, fibonacci_sphere)
@@ -318,3 +320,142 @@ def test_homogenization_error_discretization_baseline():
     err = homogenization_error(u_h, fld, phi, grid)
     denom = math.sqrt(dirichlet_energy_central(phi, grid))
     assert err / denom < 1e-2
+
+
+# ----------------------------------------------------------------------
+# direct transforms and the blocked deposit against kept references
+# ----------------------------------------------------------------------
+
+def per_sphere_deposit(mu, grid):
+    """One sphere at a time, eight np.add.at calls each (reference)."""
+    n, h = grid.n, grid.h
+    values = np.zeros(grid.shape)
+    flat = values.reshape(-1)
+    dropped = 0
+    for k in range(len(mu)):
+        r = float(mu.sphere_radii[k])
+        m = max(64, int(math.ceil(4.0 * math.pi * (r / h) ** 2)))
+        rel = (mu.centers[k] + r * fibonacci_sphere(m) - np.asarray(grid.lo)) / h
+        inside = np.all((rel >= 0) & (rel <= n - 1), axis=1)
+        dropped += int(np.count_nonzero(~inside))
+        rel = rel[inside]
+        base = np.minimum(np.floor(rel).astype(np.int64), n - 2)
+        frac = rel - base
+        for corner in range(8):
+            off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
+            wt = np.ones(rel.shape[0])
+            for a in range(3):
+                wt = wt * (frac[:, a] if off[a] else 1.0 - frac[:, a])
+            node = base + off
+            np.add.at(flat, (node[:, 0] * n + node[:, 1]) * n + node[:, 2],
+                      mu.weights[k] / m * wt)
+    return values, dropped
+
+
+def test_blocked_deposit_matches_per_sphere_loop():
+    grid = Grid.from_domain(DomainDescriptor("axis_cube", 1.0), 33)
+    rng = np.random.default_rng(5)
+    k = 120
+    centers = rng.uniform(-1.3, 1.3, size=(k, 3))     # some straddle the box
+    radii = rng.uniform(0.1, 0.5, size=k)
+    mu = CapacityMeasure(centers, radii, rng.uniform(0.5, 3.0, size=k), 3)
+    samples = np.maximum(64, np.ceil(4.0 * math.pi * (radii / grid.h) ** 2)).sum()
+    assert samples > pde._DEPOSIT_BLOCK
+    want, dropped = per_sphere_deposit(mu, grid)
+    g = deposit_measure(mu, 0.0, grid, min_radius_factor=0.0)
+    assert 0 < dropped < samples
+    assert g.dropped_samples == dropped
+    assert np.max(np.abs(g.values - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_spectral_dirichlet_matches_cg():
+    grid = Grid.from_domain(DomainDescriptor("axis_cube", 1.0), 13)
+    active = grid.inside_domain()
+    rng = np.random.default_rng(11)
+    a_mat = pde._stiffness(active, grid.h)
+    # dual norm: sum b^2/lambda over sine modes against b . A^-1 b by CG
+    g = GriddedMeasure(rng.standard_normal(grid.shape), grid, 0.0, 0.0)
+    b = g.values[active]
+    energy = float(b @ pde._cg(a_mat, b, rtol=1e-10))
+    assert hminus_norm(g, grid) ** 2 == pytest.approx(energy, rel=1e-12)
+    # homogenized solve with a shift and a callable right-hand side
+    c0 = 3.5
+    f = rng.standard_normal(grid.shape)
+    u = homogenized_solve(c0, lambda x, y, z: f, grid)
+    shifted = a_mat + c0 * grid.h ** 3 * sp.identity(a_mat.shape[0], format="csr")
+    rhs = grid.h ** 3 * f[active]
+    u_cg = pde._cg(shifted, rhs, rtol=1e-10)
+    assert np.all(u[~active] == 0.0)
+    assert np.linalg.norm(shifted @ u[active] - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    assert np.max(np.abs(u[active] - u_cg)) <= 1e-8 * np.max(np.abs(u_cg))
+    assert float(rhs @ u[active]) == pytest.approx(float(rhs @ u_cg), rel=1e-12)
+
+
+def test_dct_neumann_matches_kronecker_pseudoinverse():
+    config = unit_marks_config(1 / 8)
+    cov = build_cube_covering(config, 3)
+    grid = Grid.from_domain(DomainDescriptor("axis_cube", 1.0), 17)   # 9^3 cells
+    rng = np.random.default_rng(4)
+    cells = np.flatnonzero(cov.interior)[[0, 7]]
+    centers, radii = [], []
+    for c in cells:
+        r = rng.uniform(0.02, 0.06, size=5)
+        centers.append(rng.uniform(cov.lo[c] + r[:, None], cov.hi[c] - r[:, None]))
+        radii.append(r)
+    mu = CapacityMeasure(np.concatenate(centers), np.concatenate(radii),
+                         rng.uniform(0.5, 3.0, size=10), 3)
+    energies = neumann_cell_energies(cov, mu, grid)
+    assert np.count_nonzero(energies) == 2
+    m = 9
+    path = np.diag(np.r_[1.0, np.full(m - 2, 2.0), 1.0]) - np.eye(m, k=1) - np.eye(m, k=-1)
+    eye = np.eye(m)
+    lap = (np.kron(np.kron(path, eye), eye) + np.kron(np.kron(eye, path), eye)
+           + np.kron(np.kron(eye, eye), path))
+    lap_pinv = np.linalg.pinv(lap, hermitian=True)
+    for j, c in enumerate(cells):
+        local = Grid.from_box(cov.lo[c], cov.hi[c], m)
+        atoms = slice(5 * j, 5 * j + 5)
+        cell_mu = CapacityMeasure(mu.centers[atoms], mu.sphere_radii[atoms],
+                                  mu.weights[atoms], 3)
+        density = float(cell_mu.weights.sum()) / float(np.prod(cov.hi[c] - cov.lo[c]))
+        rhs = deposit_measure(cell_mu, density, local, min_radius_factor=0.0).values.ravel()
+        want = float(rhs @ lap_pinv @ rhs) / local.h
+        assert energies[c] == pytest.approx(want, rel=1e-12)
+
+
+def test_grid_without_interior_nodes():
+    # n = 2 leaves no unknowns: nothing to transform, zero potential
+    grid = Grid.from_domain(DomainDescriptor("axis_cube", 1.0), 2)
+    assert not pde._is_interior_box(grid.inside_domain())
+    assert hminus_norm(GriddedMeasure(np.ones(grid.shape), grid, 0.0, 0.0), grid) == 0.0
+    assert np.all(homogenized_solve(1.0, 1.0, grid) == 0.0)
+
+
+# ----------------------------------------------------------------------
+# the ball domain (CG on an irregular mask)
+# ----------------------------------------------------------------------
+
+def test_ball_dual_norm_at_most_cube():
+    # the ball's nodal test space is a subspace of the cube's
+    ball = Grid.from_domain(DomainDescriptor("unit_ball"), 25)
+    cube = Grid.from_domain(DomainDescriptor("axis_cube", 1.0), 25)
+    assert ball.lo == cube.lo and ball.hi == cube.hi
+    assert not pde._is_interior_box(ball.inside_domain())
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        values = rng.standard_normal(cube.shape) * cube.h ** 3
+        n_ball = hminus_norm(GriddedMeasure(values, ball, 0.0, 0.0), ball)
+        n_cube = hminus_norm(GriddedMeasure(values, cube, 0.0, 0.0), cube)
+        assert 0.0 < n_ball <= n_cube
+
+
+def test_ball_homogenized_solution_below_cube():
+    ball = Grid.from_domain(DomainDescriptor("unit_ball"), 25)
+    cube = Grid.from_domain(DomainDescriptor("axis_cube", 1.0), 25)
+    for c0 in (0.0, 5.0):
+        u_ball = homogenized_solve(c0, 1.0, ball)
+        u_cube = homogenized_solve(c0, 1.0, cube)
+        tol = 1e-7 * float(u_cube.max())
+        assert np.all(u_ball[~ball.inside_domain()] == 0.0)
+        assert u_ball.max() > 0.0 and u_ball.min() >= -tol
+        assert np.all(u_ball <= u_cube + tol)
