@@ -8,6 +8,7 @@ config keys; unknown config keys are rejected.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -20,7 +21,7 @@ from .corrector import CorrectorField, build_capacity_measure, c0_constant, corr
 from .covering import (build_cube_covering, build_random_covering,
                        mesoscale_parameters, verify_random_covering)
 from .experiments import (bad_capacity_experiment, desk_solve_comparison,
-                          exponent_table, mecke_experiment, overlap_experiment,
+                          exponent_table, mecke_spec, overlap_experiment,
                           periodic_hminus_rate, surrogate_rate_experiment,
                           variance_scaling_experiment)
 from .io_utils import write_csv, write_field, write_json
@@ -28,7 +29,7 @@ from .marks import MarkDistribution
 from .partition import partition_configuration
 from .pde import Grid, homogenization_error, homogenized_solve, solve_perforated
 from .process import MECKE_FUNCTIONALS, ProcessSpec, mecke_check, sample_configuration
-from .rates import (canonical_quantity, ensemble_run, fit_rate,
+from .rates import (canonical_quantity, check_fit_design, ensemble_run, fit_rate,
                     theoretical_exponents)
 
 logger = logging.getLogger("holelab")
@@ -184,6 +185,7 @@ def _cmd_rates(args, cfg):
     reps = cfg.get("replicates", 50)
     params = {"delta": cfg.get("delta"), "k": cfg.get("k"),
               "grid_n": cfg.get("grid_n", 65)}
+    check_fit_design(grid, reps)
     if args.dry_run:
         return 0, (f"rates: would run {quantity} over {len(grid)} epsilons x {reps}"
                    f" replicates ({_workers(args)} workers)")
@@ -240,14 +242,9 @@ def _cmd_solve(args, cfg):
 
 
 def _cmd_mecke(args, cfg):
-    spec_obj = cfg.get("spec")
-    if spec_obj is None:
-        spec_obj = dict(_default_spec(), process="poisson", epsilon=0.25)
-        spec_obj["lambda"] = 2.0
-        spec_obj["marks"] = {"kind": "pareto", "beta_eff": 2.0}
+    spec = ProcessSpec.from_json(cfg["spec"]) if cfg.get("spec") else mecke_spec(seed=0)
     if args.seed is not None:
-        spec_obj = dict(spec_obj, master_seed=args.seed)
-    spec = ProcessSpec.from_json(spec_obj)
+        spec = dataclasses.replace(spec, master_seed=args.seed)
     trials = cfg.get("trials", args.trials or 10000)
     names = [cfg["functional"]] if "functional" in cfg else list(MECKE_FUNCTIONALS)
     if args.dry_run:

@@ -86,9 +86,6 @@ class CubeCovering:
             idx = idx * self.m_count[a] + rel[..., a]
         return idx
 
-    def points_in_cell(self, cell: int) -> np.ndarray:
-        return np.flatnonzero(self.point_cell == cell)
-
     def csv_rows(self, volumes: Optional[np.ndarray] = None):
         counts = np.bincount(self.point_cell, minlength=self.n_cells)
         vols = np.full(self.n_cells, self.cell_size ** self.m_lo.size) if volumes is None else volumes

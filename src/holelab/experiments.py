@@ -294,16 +294,19 @@ class MeckeResult:
         return all(abs(r.z_score) < 4.0 for r in self.reports)
 
 
-def mecke_experiment(trials: int = 10000, seed: int = DEFAULT_SEED) -> MeckeResult:
-    """All built-in exchange-formula functionals at the given trial count.
-
-    epsilon = 1/16 keeps the isolation predicate R >= eps^2 at probability
-    about 0.78 (at larger epsilon it degenerates to a null event); the
-    sampling window extends 2 length units beyond the test region.
-    """
+def mecke_spec(seed: int = DEFAULT_SEED) -> ProcessSpec:
+    """The exchange-formula geometry: epsilon = 1/16 keeps the isolation
+    predicate R >= eps^2 at probability about 0.78 (at larger epsilon it
+    degenerates to a null event); the sampling window extends 2 length
+    units beyond the test region."""
     marks = MarkDistribution.pareto_for_beta(3, 2.0)
-    spec = poisson_spec(marks, intensity=2.0, epsilon=1 / 16,
-                        half_width=2.5 / 16, seed=seed)
+    return poisson_spec(marks, intensity=2.0, epsilon=1 / 16, half_width=2.5 / 16, seed=seed)
+
+
+def mecke_experiment(trials: int = 10000, seed: int = DEFAULT_SEED) -> MeckeResult:
+    """All built-in exchange-formula functionals at the given trial count
+    on the geometry of ``mecke_spec``."""
+    spec = mecke_spec(seed)
     reports = [mecke_check(spec, name, trials) for name in MECKE_FUNCTIONALS]
     return MeckeResult(reports)
 

@@ -6,13 +6,13 @@ by quasi-uniform surface sampling with trilinear weights, the dual
 potential, per-cell zero-mean Neumann energies, and solves of the perforated
 and homogenized problems.
 
-Where the unknowns fill a whole box the operator is separable and is
-diagonalised by a fast sine transform (DST-I, Dirichlet: the dual norm and
-the homogenized solve on the cube) or cosine transform (DCT-II, Neumann:
-every covering cell in one batched transform).  Irregular masks (holes in
-the perforated solve, the ball domain) fall back to a sparse matrix and
-conjugate gradients with enforced relative residual.  The choice is made
-from the mask alone.
+Every Dirichlet solve (the dual norm, the perforated and the homogenized
+problem, on the cube or the ball) is one conjugate-gradient method: a
+matrix-free 7-point stencil on the interior box with the nodes off the mask
+held at zero, preconditioned by the box's fast sine transform (DST-I).  On
+the full box the preconditioner is exact and one iteration solves.  The
+Neumann cell energies are diagonalised by a cosine transform (DCT-II):
+every covering cell in one batched transform.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dctn, dstn
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .corrector import CapacityMeasure, CorrectorField
 from .covering import CubeCovering
@@ -113,67 +112,12 @@ class Grid:
 
 
 # ----------------------------------------------------------------------
-# assembly and solves
+# the Dirichlet solve
 # ----------------------------------------------------------------------
 
-def _stiffness(active: np.ndarray, h: float) -> sp.csr_matrix:
-    """Energy form u^T A u = sum over faces of h^(d-2) (u_i - u_j)^2,
-    including the faces between active nodes and inactive (or out-of-grid)
-    nodes, where the neighbour value is pinned to zero.
-    """
-    shape = active.shape
-    m = int(np.count_nonzero(active))
-    idx = -np.ones(shape, dtype=np.int64)
-    idx[active] = np.arange(m)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(m)
-    for axis in range(3):
-        sl_lo = [slice(None)] * 3
-        sl_hi = [slice(None)] * 3
-        sl_lo[axis] = slice(0, shape[axis] - 1)
-        sl_hi[axis] = slice(1, shape[axis])
-        a_lo = active[tuple(sl_lo)]
-        a_hi = active[tuple(sl_hi)]
-        both = a_lo & a_hi
-        i = idx[tuple(sl_lo)][both]
-        j = idx[tuple(sl_hi)][both]
-        rows.append(i); cols.append(j); vals.append(-np.ones(i.size))
-        rows.append(j); cols.append(i); vals.append(-np.ones(i.size))
-        np.add.at(diag, i, 1.0)
-        np.add.at(diag, j, 1.0)
-        only_lo = a_lo & ~a_hi
-        only_hi = a_hi & ~a_lo
-        np.add.at(diag, idx[tuple(sl_lo)][only_lo], 1.0)
-        np.add.at(diag, idx[tuple(sl_hi)][only_hi], 1.0)
-        # grid edge counts as an inactive neighbour
-        for side in (0, shape[axis] - 1):
-            edge = [slice(None)] * 3
-            edge[axis] = side
-            np.add.at(diag, idx[tuple(edge)][active[tuple(edge)]], 1.0)
-    rows.append(np.arange(m)); cols.append(np.arange(m)); vals.append(diag)
-    a_mat = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(m, m)).tocsr()
-    return h * a_mat  # h^(d-2) with d = 3
-
-
-def _cg(a_mat, b, rtol: float = 1e-8, maxiter: int = 30000, label: str = "solve"):
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    x, info = cg(a_mat, b, rtol=rtol, atol=0.0, maxiter=maxiter)
-    if info != 0:
-        history = []
-
-        def track(xk):
-            history.append(float(np.linalg.norm(b - a_mat @ xk)) / bnorm)
-
-        cg(a_mat, b, rtol=rtol, atol=0.0, maxiter=min(maxiter, 500), callback=track)
-        raise SolverError(f"{label}: CG did not reach rtol={rtol} in {maxiter} iterations",
-                          residuals=history)
-    res = float(np.linalg.norm(b - a_mat @ x)) / bnorm
-    logger.debug("%s: relative residual %.3e", label, res)
-    return x
+# iteration limit of the preconditioned CG; the masks of the package take
+# 1 (the box) to a few dozen (ball, thousands of holes) iterations
+_MAXITER = 2000
 
 
 def _kron_sum(lam: np.ndarray) -> np.ndarray:
@@ -181,34 +125,100 @@ def _kron_sum(lam: np.ndarray) -> np.ndarray:
     return lam[:, None, None] + lam[None, :, None] + lam[None, None, :]
 
 
-def _is_interior_box(active: np.ndarray) -> bool:
-    """True when the active nodes are exactly the interior box of the grid,
-    where the Dirichlet stiffness is separable."""
-    n = active.shape[0]
-    return (n > 2 and int(np.count_nonzero(active)) == (n - 2) ** 3
-            and bool(active[1:-1, 1:-1, 1:-1].all()))
-
-
 def _dst(x: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I on every axis; it is its own inverse."""
     return dstn(x, type=1, norm="ortho")
 
 
-def _box_eigenvalues(grid: Grid, shift: float = 0.0) -> np.ndarray:
-    """Eigenvalues of the Dirichlet stiffness on the interior box in the
-    DST-I basis, plus a constant shift."""
-    k = np.arange(1, grid.n - 1)
-    return grid.h * _kron_sum(2.0 - 2.0 * np.cos(np.pi * k / (grid.n - 1))) + shift
+def _box_operators(act: np.ndarray, h: float, shift: float):
+    """The operator A + shift and its preconditioner on vectors over the
+    interior box, whose active nodes are ``act``; inactive entries are read
+    as zero and returned as zero.
+
+    A is the 7-point stencil h (6 u - sum of the six neighbours): each face
+    of an active node counts once, whatever lies beyond it, so on any mask
+    inside the interior box this is the mask's Dirichlet stiffness.  The
+    preconditioner is the solve on the whole box (DST-I, eigenvalues with
+    the same shift) between zero extension and restriction.
+    """
+    pad = np.zeros(tuple(m + 2 for m in act.shape))     # the rim stays zero
+    mid = pad[1:-1, 1:-1, 1:-1]
+
+    def stencil(x):
+        mid[...] = np.where(act, x.reshape(act.shape), 0.0)
+        y = (6.0 * h + shift) * mid - h * (
+            pad[:-2, 1:-1, 1:-1] + pad[2:, 1:-1, 1:-1] + pad[1:-1, :-2, 1:-1]
+            + pad[1:-1, 2:, 1:-1] + pad[1:-1, 1:-1, :-2] + pad[1:-1, 1:-1, 2:])
+        return np.where(act, y, 0.0).ravel()
+
+    k = np.arange(1, act.shape[0] + 1)
+    lam = h * _kron_sum(2.0 - 2.0 * np.cos(np.pi * k / (act.shape[0] + 1))) + shift
+
+    def box_solve(r):
+        v = np.where(act, r.reshape(act.shape), 0.0)
+        return np.where(act, _dst(_dst(v) / lam), 0.0).ravel()
+
+    size = act.size
+    return (LinearOperator((size, size), matvec=stencil, dtype=float),
+            LinearOperator((size, size), matvec=box_solve, dtype=float))
+
+
+def _dirichlet_solve(active: np.ndarray, b: np.ndarray, grid: Grid, shift: float,
+                     rtol: float, label: str) -> np.ndarray:
+    """Solve (A + shift) u = b on the ``active`` nodes with u = 0 elsewhere
+    (see _box_operators) by preconditioned CG to relative residual
+    ``rtol``; ``b`` and the result are (n, n, n) node arrays.  On the full
+    interior box the preconditioner is the exact inverse and one iteration
+    solves the system.  Every mask in the package lies inside the interior
+    box: Dirichlet nodes on the grid boundary are never active."""
+    act = active[1:-1, 1:-1, 1:-1]
+    rhs = np.where(act, b[1:-1, 1:-1, 1:-1], 0.0).ravel()
+    u = np.zeros(grid.shape)
+    bnorm = float(np.linalg.norm(rhs))
+    if bnorm == 0.0:
+        return u
+    a_op, m_op = _box_operators(act, grid.h, shift)
+    steps = 0
+
+    def count(_):
+        nonlocal steps
+        steps += 1
+
+    x, info = cg(a_op, rhs, rtol=rtol, atol=0.0, maxiter=_MAXITER, M=m_op, callback=count)
+    if info != 0 or logger.isEnabledFor(logging.DEBUG):
+        res = float(np.linalg.norm(rhs - a_op @ x)) / bnorm
+        if info != 0:
+            raise SolverError(f"{label}: preconditioned CG did not reach rtol={rtol} in"
+                              f" {_MAXITER} iterations (relative residual {res:.3e})",
+                              residuals=[res])
+        logger.debug("%s: %d iterations, relative residual %.3e", label, steps, res)
+    u[1:-1, 1:-1, 1:-1] = x.reshape(act.shape)
+    return u
 
 
 # ----------------------------------------------------------------------
 # measure deposition and the dual norm
 # ----------------------------------------------------------------------
 
-# surface samples generated and scattered at once.  A block costs ~430
-# bytes per sample in temporaries: the 314k samples of criterion 4 at
-# eps = 1/16 peak at 108 MiB in one block and at 14 MiB in blocks of 2^15
+# sphere samples (or node-box entries) expanded at once.  A deposit block
+# costs ~430 bytes per sample in temporaries: the 314k samples of criterion
+# 4 at eps = 1/16 peak at 108 MiB in one block and at 14 MiB in blocks of 2^15
 _DEPOSIT_BLOCK = 1 << 15
+
+
+def _blocks(counts: np.ndarray):
+    """Expand items with ``counts`` slots each, whole items at a time, in
+    blocks of at most _DEPOSIT_BLOCK slots (an item larger than that fills
+    a block alone).  Yields the item and the rank within it of every slot."""
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(counts):
+        done = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + _DEPOSIT_BLOCK, side="right")))
+        cnt = counts[start:stop]
+        item = np.repeat(np.arange(start, stop), cnt)
+        yield item, np.arange(item.size) - np.repeat(ends[start:stop] - cnt - done, cnt)
+        start = stop
 
 
 def _fibonacci(i: np.ndarray, m) -> np.ndarray:
@@ -239,17 +249,10 @@ def _deposit_spheres(flat: np.ndarray, n: int, lo, h, centers: np.ndarray,
     h = np.broadcast_to(np.asarray(h, dtype=float), (k,))
     base = np.broadcast_to(np.asarray(base, dtype=np.int64), (k,))
     counts = np.maximum(64, np.ceil(4.0 * math.pi * (radii / h) ** 2).astype(np.int64))
-    ends = np.cumsum(counts)
     dropped = 0
-    start = 0
-    while start < k:
-        done = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, done + _DEPOSIT_BLOCK, side="right")))
-        cnt = counts[start:stop]
-        sphere = np.repeat(np.arange(start, stop), cnt)
-        i = np.arange(sphere.size) - np.repeat(ends[start:stop] - cnt - done, cnt) + 0.5
+    for sphere, i in _blocks(counts):
         m = counts[sphere]
-        pts = centers[sphere] + radii[sphere, None] * _fibonacci(i, m)
+        pts = centers[sphere] + radii[sphere, None] * _fibonacci(i + 0.5, m)
         rel = (pts - lo[sphere]) / h[sphere, None]
         inside = np.all((rel >= 0) & (rel <= n - 1), axis=1)
         dropped += int(inside.size - np.count_nonzero(inside))
@@ -265,7 +268,6 @@ def _deposit_spheres(flat: np.ndarray, n: int, lo, h, centers: np.ndarray,
             idx.append(lin + (off[0] * n + off[1]) * n + off[2])
             vals.append(w * (sides[off[0]][:, 0] * sides[off[1]][:, 1] * sides[off[2]][:, 2]))
         flat += np.bincount(np.concatenate(idx), np.concatenate(vals), minlength=flat.size)
-        start = stop
     return dropped
 
 
@@ -320,18 +322,11 @@ def hminus_norm(g: GriddedMeasure, grid: Grid, rtol: float = 1e-8) -> float:
 
     Solves the Dirichlet problem -lap(psi) = g on the interior nodes and
     returns the square root of the Dirichlet energy; node weights outside
-    the interior never couple to test functions and are ignored.  On the
-    interior box the energy is sum b^2/lambda over the sine modes; other
-    masks solve by CG to ``rtol``.
+    the interior never couple to test functions and are ignored.
     """
     active = grid.inside_domain()
-    if _is_interior_box(active):
-        b_hat = _dst(g.values[1:-1, 1:-1, 1:-1])
-        energy = float(np.sum(b_hat * b_hat / _box_eigenvalues(grid)))
-    else:
-        b = g.values[active]
-        energy = float(b @ _cg(_stiffness(active, grid.h), b, rtol=rtol,
-                               label="dual-norm potential"))
+    psi = _dirichlet_solve(active, g.values, grid, 0.0, rtol, "dual-norm potential")
+    energy = float(g.values[active] @ psi[active])
     return math.sqrt(max(energy, 0.0))
 
 
@@ -389,7 +384,7 @@ def neumann_cell_energies(covering: CubeCovering, mu: CapacityMeasure, grid: Gri
     coef[:, 0, 0, 0] = 0.0      # compatible data: only rounding lives in this mode
     lam = _kron_sum(2.0 - 2.0 * np.cos(np.pi * np.arange(m) / m))
     lam[0, 0, 0] = 1.0          # divides a zero coefficient
-    # the stiffness is h times the graph Laplacian (see _stiffness)
+    # the stiffness is h times the graph Laplacian (see _dirichlet_solve)
     energies[cells] = np.sum(coef * coef / lam, axis=(1, 2, 3)) / h
     return energies
 
@@ -416,33 +411,37 @@ def _as_node_values(f, grid: Grid) -> np.ndarray:
     return arr
 
 
+def _node_boxes(grid: Grid, centers: np.ndarray, radii: np.ndarray):
+    """Every grid node in the axis box of each ball, block by block: yields
+    the ball, the flat node index and the squared distance to the centre."""
+    n, h = grid.n, grid.h
+    lo = np.asarray(grid.lo)
+    first = np.maximum(np.ceil((centers - radii[:, None] - lo) / h).astype(int), 0)
+    last = np.minimum(np.floor((centers + radii[:, None] - lo) / h).astype(int), n - 1)
+    size = np.maximum(last - first + 1, 0)
+    ax = grid.axes()
+    for ball, rank in _blocks(size.prod(axis=1)):
+        s, f = size[ball], first[ball]
+        k = f[:, 2] + rank % s[:, 2]
+        rank = rank // s[:, 2]
+        j = f[:, 1] + rank % s[:, 1]
+        i = f[:, 0] + rank // s[:, 1]
+        c = centers[ball]
+        r2 = (ax[0][i] - c[:, 0]) ** 2 + (ax[1][j] - c[:, 1]) ** 2 + (ax[2][k] - c[:, 2]) ** 2
+        yield ball, (i * n + j) * n + k, r2
+
+
 def hole_mask(config: MarkedConfiguration, grid: Grid):
     """Mask of nodes strictly inside a hole; holes catching no node are
     reported back (they cannot be represented at this resolution)."""
-    centers = config.centers()
     radii = config.hole_radii(truncate=True)
-    n, h = grid.n, grid.h
-    lo = np.asarray(grid.lo)
     mask = np.zeros(grid.shape, dtype=bool)
-    omitted = []
-    ax = grid.axes()
-    for k in range(len(config)):
-        c, r = centers[k], radii[k]
-        lo_i = np.maximum(np.ceil((c - r - lo) / h).astype(int), 0)
-        hi_i = np.minimum(np.floor((c + r - lo) / h).astype(int), n - 1)
-        if np.any(lo_i > hi_i):
-            omitted.append(k)
-            continue
-        segs = [ax[a][lo_i[a]:hi_i[a] + 1] - c[a] for a in range(3)]
-        r2 = (segs[0][:, None, None] ** 2 + segs[1][None, :, None] ** 2
-              + segs[2][None, None, :] ** 2)
-        local = r2 < r * r
-        if not local.any():
-            omitted.append(k)
-            continue
-        view = mask[lo_i[0]:hi_i[0] + 1, lo_i[1]:hi_i[1] + 1, lo_i[2]:hi_i[2] + 1]
-        view |= local
-    return mask, omitted
+    hits = np.zeros(radii.size, dtype=np.int64)
+    for hole, node, r2 in _node_boxes(grid, config.centers(), radii):
+        inside = r2 < radii[hole] ** 2
+        mask.reshape(-1)[node[inside]] = True
+        hits += np.bincount(hole[inside], minlength=hits.size)
+    return mask, np.flatnonzero(hits == 0).tolist()
 
 
 def solve_perforated(config: MarkedConfiguration, partition: Optional[HolePartition],
@@ -457,62 +456,33 @@ def solve_perforated(config: MarkedConfiguration, partition: Optional[HolePartit
         logger.warning("%d of %d holes are below grid resolution and were omitted",
                        len(omitted), len(config))
     active = grid.inside_domain() & ~holes
-    a_mat = _stiffness(active, grid.h)
-    b = grid.h ** 3 * _as_node_values(f, grid)[active]
-    x = _cg(a_mat, b, rtol=rtol, label="perforated solve")
-    u = np.zeros(grid.shape)
-    u[active] = x
+    u = _dirichlet_solve(active, grid.h ** 3 * _as_node_values(f, grid), grid, 0.0, rtol,
+                         "perforated solve")
     return PerforatedSolution(u, int(np.count_nonzero(holes)), omitted)
 
 
 def homogenized_solve(c0: float, f, grid: Grid, rtol: float = 1e-8) -> np.ndarray:
-    """Dirichlet solve of -lap(u) + c0 u = f on the domain: by sine
-    transform on the interior box, by CG to ``rtol`` on other masks."""
+    """Dirichlet solve of -lap(u) + c0 u = f on the domain, to ``rtol``."""
     if c0 < 0:
         raise ValueError("c0 must be >= 0")
-    active = grid.inside_domain()
-    b = grid.h ** 3 * _as_node_values(f, grid)
-    u = np.zeros(grid.shape)
-    if _is_interior_box(active):
-        lam = _box_eigenvalues(grid, shift=c0 * grid.h ** 3)
-        u[1:-1, 1:-1, 1:-1] = _dst(_dst(b[1:-1, 1:-1, 1:-1]) / lam)
-    else:
-        m = int(np.count_nonzero(active))
-        a_mat = _stiffness(active, grid.h) + c0 * grid.h ** 3 * sp.identity(m, format="csr")
-        u[active] = _cg(a_mat, b[active], rtol=rtol, label="homogenized solve")
-    return u
+    return _dirichlet_solve(grid.inside_domain(), grid.h ** 3 * _as_node_values(f, grid),
+                            grid, c0 * grid.h ** 3, rtol, "homogenized solve")
 
 
 def corrector_on_grid(corrector: CorrectorField, grid: Grid) -> np.ndarray:
-    """Node values of the corrector, evaluated cell by cell (cells are
-    disjoint, so scatter order does not matter)."""
+    """Node values of the corrector (cells are disjoint, so scatter order
+    does not matter)."""
     if corrector.d != 3:
         raise ValueError("grid evaluation needs a three-dimensional corrector")
     w = np.ones(grid.shape)
-    n, h = grid.n, grid.h
-    lo = np.asarray(grid.lo)
-    ax = grid.axes()
+    a, big = corrector.inner, corrector.outer
     d = 3
-    for k in range(len(corrector)):
-        c = corrector.centers[k]
-        a, big = float(corrector.inner[k]), float(corrector.outer[k])
-        lo_i = np.maximum(np.ceil((c - big - lo) / h).astype(int), 0)
-        hi_i = np.minimum(np.floor((c + big - lo) / h).astype(int), n - 1)
-        if np.any(lo_i > hi_i):
-            continue
-        segs = [ax[axis][lo_i[axis]:hi_i[axis] + 1] - c[axis] for axis in range(3)]
-        r2 = (segs[0][:, None, None] ** 2 + segs[1][None, :, None] ** 2
-              + segs[2][None, None, :] ** 2)
+    for cell, node, r2 in _node_boxes(grid, corrector.centers, big):
         r = np.sqrt(r2)
-        block = w[lo_i[0]:hi_i[0] + 1, lo_i[1]:hi_i[1] + 1, lo_i[2]:hi_i[2] + 1]
-        inner = r <= a
-        ann = (r > a) & (r < big)
-        if inner.any():
-            block[inner] = 0.0
-        if ann.any():
-            a2 = a ** (2 - d)
-            big2 = big ** (2 - d)
-            block[ann] = (a2 - r[ann] ** (2 - d)) / (a2 - big2)
+        w.reshape(-1)[node[r <= a[cell]]] = 0.0
+        ann = (r > a[cell]) & (r < big[cell])
+        a2, big2 = a[cell[ann]] ** (2 - d), big[cell[ann]] ** (2 - d)
+        w.reshape(-1)[node[ann]] = (a2 - r[ann] ** (2 - d)) / (a2 - big2)
     return w
 
 

@@ -480,6 +480,15 @@ _COMPARISON = {
 }
 
 
+def check_fit_design(epsilon_grid, replicates: int) -> None:
+    """Refuse an ensemble no slope can be fitted on: fewer than four
+    epsilons, or between 2 and 29 replicates."""
+    if len(epsilon_grid) < 4:
+        raise ValueError("need at least 4 epsilon values")
+    if replicates < 30 and replicates != 1:
+        raise ValueError("need at least 30 replicates (or a deterministic run)")
+
+
 def fit_rate(stat: EnsembleStat, theo: Optional[TheoreticalExponents] = None,
              target: Optional[float] = None, tolerance: float = 0.2,
              bootstrap: int = 1000, seed: int = 7) -> RateFit:
@@ -490,10 +499,7 @@ def fit_rate(stat: EnsembleStat, theo: Optional[TheoreticalExponents] = None,
     fit.  The confidence interval resamples replicates (jointly across
     epsilons, matching the shared random numbers).
     """
-    if len(stat.epsilon_grid) < 4:
-        raise ValueError("need at least 4 epsilon values")
-    if stat.replicates < 30 and stat.replicates != 1:
-        raise ValueError("need at least 30 replicates (or a deterministic run)")
+    check_fit_design(stat.epsilon_grid, stat.replicates)
     means = np.nanmean(stat.samples, axis=1)
     eps = np.asarray(stat.epsilon_grid, dtype=float)
     keep = means > 0

@@ -110,6 +110,22 @@ def test_rates_degenerate_refused(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("design", [{"epsilon_grid": [1 / 8, 1 / 12, 1 / 16], "replicates": 30},
+                                    {"epsilon_grid": [1 / 8, 1 / 10, 1 / 12, 1 / 16],
+                                     "replicates": 2}])
+def test_rates_design_refused_before_the_ensemble(tmp_path, capsys, design, dry_run):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(design, quantity="bad_capacity", delta=0.8)))
+    out = tmp_path / "out"
+    code = run(["rates", "--config", str(cfg), "--out-dir", str(out)]
+               + ["--dry-run"] * dry_run)
+    captured = capsys.readouterr()
+    assert code == 2 and "need at least" in captured.err
+    assert "would run" not in captured.out
+    assert not out.exists()
+
+
 def test_partition_and_covering_outputs(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -129,7 +145,9 @@ def test_mecke_cli_small(tmp_path, capsys):
     code = run(["mecke", "--trials", "300", "--out-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0 and "max |z|" in out
-    assert (tmp_path / "mecke.csv").exists()
+    rows = {row.split(",")[0]: row.split(",") for row in
+            (tmp_path / "mecke.csv").read_text().splitlines()[1:]}
+    assert float(rows["isolated_mark"][4]) > 0.0      # rhs: not a null event
 
 
 def test_field_binary_roundtrip(tmp_path):

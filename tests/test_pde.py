@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from holelab import (CorrectorField, DomainDescriptor, MarkDistribution,
                      ProcessSpec, build_capacity_measure, build_cube_covering,
@@ -368,15 +369,56 @@ def test_blocked_deposit_matches_per_sphere_loop():
     assert np.max(np.abs(g.values - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def reference_stiffness(active, h):
+    """Energy form u^T A u = sum over faces of h^(d-2) (u_i - u_j)^2,
+    including the faces between active nodes and inactive (or out-of-grid)
+    nodes, where the neighbour value is pinned to zero (reference assembly).
+    """
+    shape = active.shape
+    m = int(np.count_nonzero(active))
+    idx = -np.ones(shape, dtype=np.int64)
+    idx[active] = np.arange(m)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(m)
+    for axis in range(3):
+        sl_lo = [slice(None)] * 3
+        sl_hi = [slice(None)] * 3
+        sl_lo[axis] = slice(0, shape[axis] - 1)
+        sl_hi[axis] = slice(1, shape[axis])
+        a_lo = active[tuple(sl_lo)]
+        a_hi = active[tuple(sl_hi)]
+        both = a_lo & a_hi
+        i = idx[tuple(sl_lo)][both]
+        j = idx[tuple(sl_hi)][both]
+        rows.append(i); cols.append(j); vals.append(-np.ones(i.size))
+        rows.append(j); cols.append(i); vals.append(-np.ones(i.size))
+        np.add.at(diag, i, 1.0)
+        np.add.at(diag, j, 1.0)
+        only_lo = a_lo & ~a_hi
+        only_hi = a_hi & ~a_lo
+        np.add.at(diag, idx[tuple(sl_lo)][only_lo], 1.0)
+        np.add.at(diag, idx[tuple(sl_hi)][only_hi], 1.0)
+        # grid edge counts as an inactive neighbour
+        for side in (0, shape[axis] - 1):
+            edge = [slice(None)] * 3
+            edge[axis] = side
+            np.add.at(diag, idx[tuple(edge)][active[tuple(edge)]], 1.0)
+    rows.append(np.arange(m)); cols.append(np.arange(m)); vals.append(diag)
+    a_mat = sp.coo_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(m, m)).tocsr()
+    return h * a_mat  # h^(d-2) with d = 3
+
+
 def test_spectral_dirichlet_matches_cg():
     grid = Grid.from_domain(DomainDescriptor("axis_cube", 1.0), 13)
     active = grid.inside_domain()
     rng = np.random.default_rng(11)
-    a_mat = pde._stiffness(active, grid.h)
-    # dual norm: sum b^2/lambda over sine modes against b . A^-1 b by CG
+    a_mat = reference_stiffness(active, grid.h)
+    # dual norm: one preconditioned step against b . A^-1 b by a direct solve
     g = GriddedMeasure(rng.standard_normal(grid.shape), grid, 0.0, 0.0)
     b = g.values[active]
-    energy = float(b @ pde._cg(a_mat, b, rtol=1e-10))
+    energy = float(b @ spsolve(a_mat.tocsc(), b))
     assert hminus_norm(g, grid) ** 2 == pytest.approx(energy, rel=1e-12)
     # homogenized solve with a shift and a callable right-hand side
     c0 = 3.5
@@ -384,11 +426,72 @@ def test_spectral_dirichlet_matches_cg():
     u = homogenized_solve(c0, lambda x, y, z: f, grid)
     shifted = a_mat + c0 * grid.h ** 3 * sp.identity(a_mat.shape[0], format="csr")
     rhs = grid.h ** 3 * f[active]
-    u_cg = pde._cg(shifted, rhs, rtol=1e-10)
+    u_cg = spsolve(shifted.tocsc(), rhs)
     assert np.all(u[~active] == 0.0)
     assert np.linalg.norm(shifted @ u[active] - rhs) <= 1e-12 * np.linalg.norm(rhs)
     assert np.max(np.abs(u[active] - u_cg)) <= 1e-8 * np.max(np.abs(u_cg))
     assert float(rhs @ u[active]) == pytest.approx(float(rhs @ u_cg), rel=1e-12)
+
+
+def holed_box(n, seed):
+    """Interior box of an n^3 grid minus a few random balls of nodes."""
+    grid = Grid.from_domain(DomainDescriptor("axis_cube", 1.0), n)
+    rng = np.random.default_rng(seed)
+    pts = grid.node_points()
+    holes = np.zeros(pts.shape[0], dtype=bool)
+    for c, r in zip(rng.uniform(-1.0, 1.0, size=(6, 3)), rng.uniform(0.1, 0.4, size=6)):
+        holes |= np.linalg.norm(pts - c, axis=1) < r
+    return grid, grid.inside_domain() & ~holes.reshape(grid.shape)
+
+
+@pytest.mark.parametrize("case", ["box", "ball", "holed_box", "n2", "n3"])
+def test_stencil_matches_reference_matrix(case):
+    if case == "holed_box":
+        grid, active = holed_box(15, 1)
+    else:
+        shape = "unit_ball" if case == "ball" else "axis_cube"
+        n = {"n2": 2, "n3": 3}.get(case, 15)
+        grid = Grid.from_domain(DomainDescriptor(shape, 1.0), n)
+        active = grid.inside_domain()
+    a_mat = reference_stiffness(active, grid.h)
+    rng = np.random.default_rng(3)
+    for shift in (0.0, 0.7):
+        a_op, _ = pde._box_operators(active[1:-1, 1:-1, 1:-1], grid.h, shift)
+        u = rng.standard_normal(grid.shape)          # nonzero off the mask too
+        got = np.zeros(grid.shape)
+        got[1:-1, 1:-1, 1:-1] = (a_op @ u[1:-1, 1:-1, 1:-1].ravel()).reshape(
+            np.asarray(grid.shape) - 2)
+        want = a_mat @ u[active] + shift * u[active]
+        assert np.all(got[~active] == 0.0)
+        assert np.allclose(got[active], want, rtol=0.0, atol=1e-13 * grid.h)
+
+
+@pytest.mark.parametrize("case", ["ball", "holed_box"])
+def test_preconditioned_solve_matches_reference(case):
+    if case == "ball":
+        grid = Grid.from_domain(DomainDescriptor("unit_ball"), 21)
+        active = grid.inside_domain()
+    else:
+        grid, active = holed_box(21, 2)
+    assert 0 < np.count_nonzero(active) < (grid.n - 2) ** 3
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal(grid.shape)
+    for shift in (0.0, 2.0 * grid.h ** 3):
+        u = pde._dirichlet_solve(active, b, grid, shift, 1e-10, "test")
+        a_mat = reference_stiffness(active, grid.h) + shift * sp.identity(
+            int(np.count_nonzero(active)), format="csr")
+        want = spsolve(a_mat.tocsc(), b[active])
+        assert np.all(u[~active] == 0.0)
+        assert np.max(np.abs(u[active] - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_iteration_limit_raises_with_residual(monkeypatch):
+    grid, active = holed_box(21, 2)
+    monkeypatch.setattr(pde, "_MAXITER", 1)
+    with pytest.raises(pde.SolverError, match="perforation test") as info:
+        pde._dirichlet_solve(active, np.ones(grid.shape), grid, 0.0, 1e-10, "perforation test")
+    assert "rtol=1e-10" in str(info.value) and "1 iterations" in str(info.value)
+    assert len(info.value.residuals) == 1 and info.value.residuals[0] > 1e-10
 
 
 def test_dct_neumann_matches_kronecker_pseudoinverse():
@@ -426,7 +529,6 @@ def test_dct_neumann_matches_kronecker_pseudoinverse():
 def test_grid_without_interior_nodes():
     # n = 2 leaves no unknowns: nothing to transform, zero potential
     grid = Grid.from_domain(DomainDescriptor("axis_cube", 1.0), 2)
-    assert not pde._is_interior_box(grid.inside_domain())
     assert hminus_norm(GriddedMeasure(np.ones(grid.shape), grid, 0.0, 0.0), grid) == 0.0
     assert np.all(homogenized_solve(1.0, 1.0, grid) == 0.0)
 
@@ -440,7 +542,6 @@ def test_ball_dual_norm_at_most_cube():
     ball = Grid.from_domain(DomainDescriptor("unit_ball"), 25)
     cube = Grid.from_domain(DomainDescriptor("axis_cube", 1.0), 25)
     assert ball.lo == cube.lo and ball.hi == cube.hi
-    assert not pde._is_interior_box(ball.inside_domain())
     rng = np.random.default_rng(8)
     for _ in range(3):
         values = rng.standard_normal(cube.shape) * cube.h ** 3
@@ -459,3 +560,123 @@ def test_ball_homogenized_solution_below_cube():
         assert np.all(u_ball[~ball.inside_domain()] == 0.0)
         assert u_ball.max() > 0.0 and u_ball.min() >= -tol
         assert np.all(u_ball <= u_cube + tol)
+
+
+# ----------------------------------------------------------------------
+# blocked node-box evaluation against the per-sphere loops
+# ----------------------------------------------------------------------
+
+def per_hole_mask(config, grid):
+    """One hole at a time over its node box (reference); also returns how
+    many holes cover each node."""
+    centers = config.centers()
+    radii = config.hole_radii(truncate=True)
+    n, h = grid.n, grid.h
+    lo = np.asarray(grid.lo)
+    cover = np.zeros(grid.shape, dtype=int)
+    omitted = []
+    ax = grid.axes()
+    for k in range(len(config)):
+        c, r = centers[k], radii[k]
+        lo_i = np.maximum(np.ceil((c - r - lo) / h).astype(int), 0)
+        hi_i = np.minimum(np.floor((c + r - lo) / h).astype(int), n - 1)
+        if np.any(lo_i > hi_i):
+            omitted.append(k)
+            continue
+        segs = [ax[a][lo_i[a]:hi_i[a] + 1] - c[a] for a in range(3)]
+        r2 = (segs[0][:, None, None] ** 2 + segs[1][None, :, None] ** 2
+              + segs[2][None, None, :] ** 2)
+        local = r2 < r * r
+        if not local.any():
+            omitted.append(k)
+            continue
+        cover[lo_i[0]:hi_i[0] + 1, lo_i[1]:hi_i[1] + 1, lo_i[2]:hi_i[2] + 1] += local
+    return cover > 0, omitted, cover
+
+
+def per_cell_corrector(corrector, grid):
+    """One annulus cell at a time over its node box (reference)."""
+    w = np.ones(grid.shape)
+    n, h = grid.n, grid.h
+    lo = np.asarray(grid.lo)
+    ax = grid.axes()
+    d = 3
+    for k in range(len(corrector)):
+        c = corrector.centers[k]
+        a, big = float(corrector.inner[k]), float(corrector.outer[k])
+        lo_i = np.maximum(np.ceil((c - big - lo) / h).astype(int), 0)
+        hi_i = np.minimum(np.floor((c + big - lo) / h).astype(int), n - 1)
+        if np.any(lo_i > hi_i):
+            continue
+        segs = [ax[axis][lo_i[axis]:hi_i[axis] + 1] - c[axis] for axis in range(3)]
+        r2 = (segs[0][:, None, None] ** 2 + segs[1][None, :, None] ** 2
+              + segs[2][None, None, :] ** 2)
+        r = np.sqrt(r2)
+        block = w[lo_i[0]:hi_i[0] + 1, lo_i[1]:hi_i[1] + 1, lo_i[2]:hi_i[2] + 1]
+        inner = r <= a
+        ann = (r > a) & (r < big)
+        if inner.any():
+            block[inner] = 0.0
+        if ann.any():
+            a2 = a ** (2 - d)
+            big2 = big ** (2 - d)
+            block[ann] = (a2 - r[ann] ** (2 - d)) / (a2 - big2)
+    return w
+
+
+def node_box_sizes(grid, centers, radii):
+    """Unclipped and clipped node-box extents of every ball."""
+    lo = np.asarray(grid.lo)
+    first = np.ceil((centers - radii[:, None] - lo) / grid.h).astype(int)
+    last = np.floor((centers + radii[:, None] - lo) / grid.h).astype(int)
+    straddles = np.any((first < 0) | (last > grid.n - 1), axis=1)
+    size = np.maximum(np.minimum(last, grid.n - 1) - np.maximum(first, 0) + 1, 0)
+    return straddles, size.prod(axis=1)
+
+
+def test_node_boxes_match_per_sphere_loops():
+    from holelab.experiments import lattice_spec, poisson_spec
+    marks = MarkDistribution.pareto_for_beta(3, 0.5)
+    specs = [lattice_spec(marks, 1 / 4, seed=0), poisson_spec(marks, 2.0, 1 / 4, seed=0)]
+    seen = set()
+    for spec in specs:
+        config = sample_configuration(spec, 0)
+        grid = Grid.from_domain(spec.domain, 65)
+        mask, omitted = pde.hole_mask(config, grid)
+        want, want_omitted, cover = per_hole_mask(config, grid)
+        assert np.array_equal(mask, want)
+        assert omitted == want_omitted
+        straddles, slots = node_box_sizes(grid, config.centers(),
+                                          config.hole_radii(truncate=True))
+        seen |= {"overlap"} if np.any(cover > 1) else set()
+        seen |= {"omitted"} if omitted else set()
+        seen |= {"straddle"} if np.any(straddles & (slots > 0)) else set()
+        seen |= {"mask blocks"} if slots.sum() > pde._DEPOSIT_BLOCK else set()
+
+        fld = CorrectorField.from_configuration(config, 1.0)
+        w = corrector_on_grid(fld, grid)
+        ref = per_cell_corrector(fld, grid)
+        # the loop raises a Python float to -1 (libm pow), the blocks a
+        # numpy array (a reciprocal): they may differ in the last place
+        assert np.all(np.abs(w - ref) <= np.spacing(np.abs(ref)))
+        assert np.array_equal(w == 0.0, ref == 0.0) and np.array_equal(w == 1.0, ref == 1.0)
+        straddles, slots = node_box_sizes(grid, fld.centers, fld.outer)
+        seen |= {"cell straddle"} if np.any(straddles & (slots > 0)) else set()
+        seen |= {"empty cell box"} if np.any(slots == 0) else set()
+        seen |= {"cell blocks"} if slots.sum() > pde._DEPOSIT_BLOCK else set()
+    assert seen == {"overlap", "omitted", "straddle", "mask blocks", "cell straddle",
+                    "empty cell box", "cell blocks"}
+
+
+def test_hole_mask_excludes_nodes_on_the_sphere():
+    # hole radius eps^3 * 2 = 1/32 = h: the six axis neighbours of every
+    # centre lie exactly on its sphere, so only the centres are pinned
+    spec = ProcessSpec(d=3, epsilon=1 / 4, process="lattice",
+                       marks=MarkDistribution.constant(2.0),
+                       domain=DomainDescriptor("axis_cube", 1.0))
+    config = sample_configuration(spec, 0)
+    grid = Grid.from_domain(spec.domain, 65)
+    assert config.hole_radii()[0] == grid.h
+    mask, omitted = pde.hole_mask(config, grid)
+    assert omitted == [] and np.count_nonzero(mask) == len(config) == 9 ** 3
+    assert np.array_equal(mask, per_hole_mask(config, grid)[0])
