@@ -8,7 +8,7 @@ from .corrector import (CapacityMeasure, CorrectorField, annulus_capacity,
                         c0_constant, corrector_energy, corrector_eval)
 from .covering import (CubeCovering, RandomCovering, build_cube_covering,
                        build_random_covering, mesoscale_parameters,
-                       trimmed_min_distance, verify_random_covering)
+                       verify_random_covering)
 from .domain import DomainDescriptor
 from .index import SpatialIndex
 from .marks import MarkDistribution

@@ -26,7 +26,7 @@ from .experiments import (bad_capacity_experiment, desk_solve_comparison,
                           variance_scaling_experiment)
 from .io_utils import write_csv, write_field, write_json
 from .marks import MarkDistribution
-from .partition import partition_configuration
+from .partition import partition_configuration, verify_partition
 from .pde import Grid, homogenization_error, homogenized_solve, solve_perforated
 from .process import MECKE_FUNCTIONALS, ProcessSpec, mecke_check, sample_configuration
 from .rates import (canonical_quantity, check_fit_design, ensemble_run, fit_rate,
@@ -130,10 +130,14 @@ def _cmd_partition(args, cfg):
         return 0, f"partition: would classify ~{spec.expected_points():.3g} points at delta={delta}"
     config = sample_configuration(spec, rep)
     part = partition_configuration(config, delta)
+    failed = [c for c in verify_partition(config, part).checks if not c.passed]
     path = _out(args, "partition.csv")
     write_csv(path, ["index", "class", "rho", "R"], part.csv_rows(config))
-    return 0, (f"partition: good={part.good.size} J={part.bad_J.size} K={part.bad_K.size}"
+    summary = (f"partition: good={part.good.size} J={part.bad_J.size} K={part.bad_K.size}"
                f" C={part.bad_C.size} I={part.bad_I_tilde.size} -> {path}")
+    if failed:
+        return 1, f"{summary}; check {failed[0].name} failed: {failed[0].detail}"
+    return 0, summary
 
 
 def _cmd_corrector(args, cfg):
@@ -168,10 +172,12 @@ def _cmd_covering(args, cfg):
         cov = build_random_covering(config, k, cfg.get("delta"))
         report = verify_random_covering(cov)
         write_csv(path, header, cov.csv_rows())
-        code = 0 if report.ok else 1
-        return code, (f"covering: {report.n_cells} cells, violations "
-                      f"vol={report.volume_violations} overlap={report.overlap_violations}"
-                      f" dichotomy={report.dichotomy_violations} -> {path}")
+        summary = (f"covering: {report.n_cells} cells, violations "
+                   f"vol={report.volume_violations} overlap={report.overlap_violations}"
+                   f" dichotomy={report.dichotomy_violations} -> {path}")
+        if not report.ok:
+            return 1, f"{summary}; {report.detail}"
+        return 0, summary
     cov = build_cube_covering(config, k)
     write_csv(path, header, cov.csv_rows())
     n_int = int(np.count_nonzero(cov.interior & cov.meets_domain))
@@ -292,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--dry-run", action="store_true",
                        help="validate config and print the planned work")
-        p.add_argument("--epsilon", type=float, default=None)
+        if name not in ("rates", "hminus"):
+            # rates and hminus take their epsilons from epsilon_grid
+            p.add_argument("--epsilon", type=float, default=None)
         if name == "exponents":
             p.add_argument("--d", type=int, default=None)
             p.add_argument("--beta", type=float, default=None)

@@ -120,12 +120,10 @@ def build_cube_covering(config: MarkedConfiguration, k: int) -> CubeCovering:
         anchors = k * m + k // 2
     else:
         anchors = k * m
-    meets = np.array([spec.domain.box_intersects(lo[c], hi[c]) for c in range(m.shape[0])])
-    interior = np.array([spec.domain.inner_margin(lo[c], hi[c], eps) for c in range(m.shape[0])])
-
     cov = CubeCovering(k=k, epsilon=eps, m_lo=m_lo, m_count=m_count,
                        anchors=anchors, lo=lo, hi=hi,
-                       interior=interior, meets_domain=meets,
+                       interior=spec.domain.inner_margin(lo, hi, eps),
+                       meets_domain=spec.domain.box_intersects(lo, hi),
                        point_cell=np.empty(0, dtype=np.int64))
     cov.point_cell = cov.cell_of_points(config.centers())
     return cov
@@ -159,12 +157,6 @@ def trimmed_min_distances(config: MarkedConfiguration, covering: CubeCovering,
     out = np.where(dist >= eps / 2.0, r,
                    np.where(dist <= base, np.minimum(base, r), np.minimum(cap, r)))
     return out
-
-
-def trimmed_min_distance(config: MarkedConfiguration, covering: CubeCovering, w: int) -> float:
-    """Scalar trimmed distance for one point (see trimmed_min_distances)."""
-    _, kappa = mesoscale_parameters(config.spec.d, config.spec.epsilon)
-    return float(trimmed_min_distances(config, covering, np.array([w]), kappa)[0])
 
 
 @dataclass
@@ -323,65 +315,33 @@ def verify_random_covering(cov: RandomCovering) -> CoveringReport:
     vol_bad = int(np.count_nonzero((cov.volumes[live] < lo_b - 1e-12)
                                    | (cov.volumes[live] > hi_b + 1e-12)))
 
-    overlap_bad = 0
+    # cube centres are the thinned points themselves; overlapping cubes sit
+    # within the sum of their half-sides, at most the largest side
+    overlap_bad = dich_bad = 0
     if cov.thinned.size > 1:
-        # cube centres are the thinned points themselves; half-sides are at
-        # most eps/2, so overlapping cubes sit within rescaled distance one
         centers = (cov.cube_lo + cov.cube_hi) / 2.0
         sub = SpatialIndex(centers / eps)
-        i, j = sub.close_pairs(1.0)
-        if i.size:
-            gap = np.minimum(cov.cube_hi[i], cov.cube_hi[j]) - np.maximum(cov.cube_lo[i], cov.cube_lo[j])
-            bad = np.all(gap > 1e-12, axis=1)
-            overlap_bad = int(np.count_nonzero(bad))
-            if overlap_bad:
-                k0 = int(np.argmax(bad))
-                detail = f"cubes of thinned points {i[k0]} and {j[k0]} overlap"
+        i, j = sub.close_pairs(float(np.max(cov.cube_hi - cov.cube_lo)) / eps)
+        gap = (np.minimum(cov.cube_hi[i], cov.cube_hi[j])
+               - np.maximum(cov.cube_lo[i], cov.cube_lo[j]))
+        bad = np.all(gap > 1e-12, axis=1)
+        overlap_bad = int(np.count_nonzero(bad))
+        if overlap_bad:
+            k0 = int(np.argmax(bad))
+            detail = f"cubes of thinned points {i[k0]} and {j[k0]} overlap"
 
-    # dichotomy: an own cube must not be bitten by a foreign cube of the same
-    # cell (then B_{2r} sits inside the kept cube); the subtracted side can
-    # never intersect the cell again, so it needs no separate test
-    dich_bad = 0
-    if cov.inc_cell.size:
-        order = np.argsort(cov.inc_cell, kind="stable")
-        cells_sorted = cov.inc_cell[order]
-        bounds = np.flatnonzero(np.diff(cells_sorted)) + 1
-        starts = np.concatenate(([0], bounds, [cells_sorted.size]))
-        for b in range(starts.size - 1):
-            seg = order[starts[b]:starts[b + 1]]
-            own = seg[cov.inc_own[seg]]
-            foreign = seg[~cov.inc_own[seg]]
-            if own.size == 0 or foreign.size == 0:
-                continue
-            po = cov.inc_point[own]
-            pf = cov.inc_point[foreign]
-            gap = (np.minimum(cov.cube_hi[po][:, None, :], cov.cube_hi[pf][None, :, :])
-                   - np.maximum(cov.cube_lo[po][:, None, :], cov.cube_lo[pf][None, :, :]))
-            bad = np.all(gap > 1e-12, axis=2)
-            dich_bad += int(np.count_nonzero(bad))
+        # dichotomy: no own cube may be bitten by a foreign cube of the same
+        # cell (then B_{2r} sits inside the kept cube; the subtracted side
+        # never meets the cell again).  A bite is an overlapping ordered pair
+        # (p, q) with q incident, not own, in p's own cell (-1 if none).
+        t = cov.thinned.size
+        own_cell = np.full(t, -1, dtype=np.int64)
+        own_cell[cov.inc_point[cov.inc_own]] = cov.inc_cell[cov.inc_own]
+        foreign = cov.inc_cell[~cov.inc_own] * t + cov.inc_point[~cov.inc_own]
+        p = np.concatenate([i[bad], j[bad]])
+        q = np.concatenate([j[bad], i[bad]])
+        dich_bad = int(np.count_nonzero(np.isin(own_cell[p] * t + q, foreign)))
 
     return CoveringReport(vol_bad, overlap_bad, dich_bad,
                           int(np.count_nonzero(live)), int(cov.thinned.size), detail)
 
-
-def montecarlo_cell_volume(cov: RandomCovering, cell: int,
-                           rng: np.random.Generator, samples: int = 20000) -> float:
-    """Independent hit-or-miss estimate of one cell volume."""
-    base = cov.base
-    eps = cov.epsilon
-    pad = eps / 2.0
-    lo = base.lo[cell] - pad
-    hi = base.hi[cell] + pad
-    x = rng.uniform(lo, hi, size=(samples, lo.size))
-    inside_tile = np.all((x >= base.lo[cell]) & (x < base.hi[cell]), axis=1)
-    mask = inside_tile.copy()
-    rel = np.flatnonzero(cov.inc_cell == cell)
-    for r in rel:
-        p = cov.inc_point[r]
-        in_cube = np.all((x >= cov.cube_lo[p]) & (x < cov.cube_hi[p]), axis=1)
-        if cov.inc_own[r]:
-            mask |= in_cube
-        else:
-            mask &= ~in_cube
-    box_vol = float(np.prod(hi - lo))
-    return box_vol * float(np.count_nonzero(mask)) / samples

@@ -44,19 +44,21 @@ class DomainDescriptor:
         r = self.radius
         return -r * np.ones(d), r * np.ones(d)
 
-    def inner_margin(self, lo: np.ndarray, hi: np.ndarray, margin: float) -> bool:
-        """True if the box [lo, hi] lies in the domain at distance >= margin."""
-        if self.shape == "axis_cube":
-            return bool(np.max(np.maximum(np.abs(lo), np.abs(hi))) <= self.half_width - margin)
+    def inner_margin(self, lo: np.ndarray, hi: np.ndarray, margin: float) -> np.ndarray:
+        """Per box [lo, hi] of the (m, d) corner arrays: does it lie in the
+        domain at distance >= margin?"""
         corner = np.maximum(np.abs(lo), np.abs(hi))
-        return bool(np.sqrt(np.sum(corner ** 2)) <= 1.0 - margin)
-
-    def box_intersects(self, lo: np.ndarray, hi: np.ndarray) -> bool:
-        """True if the open box (lo, hi) meets the domain in positive measure."""
         if self.shape == "axis_cube":
-            return bool(np.all(lo < self.half_width) and np.all(hi > -self.half_width))
+            return np.max(corner, axis=-1) <= self.half_width - margin
+        return np.sqrt(np.sum(corner ** 2, axis=-1)) <= 1.0 - margin
+
+    def box_intersects(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Per open box (lo, hi) of the (m, d) corner arrays: does it meet the
+        domain in positive measure?"""
+        if self.shape == "axis_cube":
+            return np.all(lo < self.half_width, axis=-1) & np.all(hi > -self.half_width, axis=-1)
         nearest = np.clip(0.0, lo, hi)      # box point closest to the origin
-        return bool(np.sum(nearest ** 2) < 1.0)
+        return np.sum(nearest ** 2, axis=-1) < 1.0
 
     def to_json(self) -> dict:
         out = {"shape": self.shape}

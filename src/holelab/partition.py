@@ -253,22 +253,25 @@ def verify_partition(config: MarkedConfiguration, partition: HolePartition) -> P
     else:
         own = np.full(len(config), eps / 4.0)
 
-    # protection balls of good points avoid every safety ball
+    # protection balls of good points avoid every safety ball: one max-norm
+    # query, widened by the largest good own radius, then the exact test
     ok = True
     detail = ""
     centers = config.centers()
-    for w in range(partition.safety_centers.shape[0]):
-        c, s = partition.safety_centers[w], partition.safety_radii[w]
-        if good.size == 0:
-            break
-        diff = centers[good] - c
+    if good.size and partition.safety_radii.size:
+        reach = (partition.safety_radii + own[good].max()) / eps * (1.0 + 1e-9)
+        w, g = config.index.query(partition.safety_centers / eps, reach)
+        pos = np.full(len(config), good.size)     # first place in `good`
+        np.minimum.at(pos, good, np.arange(good.size))
+        keep = pos[g] < good.size
+        w, g = w[keep], g[keep]
+        diff = centers[g] - partition.safety_centers[w]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        bad_hit = dist < own[good] + s - 1e-12
-        if np.any(bad_hit):
+        hit = dist < own[g] + partition.safety_radii[w] - 1e-12
+        if np.any(hit):
             ok = False
-            g = good[np.argmax(bad_hit)]
-            detail = f"good point {g} touches safety ball {w}"
-            break
+            w0 = w[hit].min()
+            detail = f"good point {good[pos[g[hit & (w == w0)]].min()]} touches safety ball {w0}"
     rep.add("good_avoids_bad_region", ok, detail)
 
     # the safety region stays within distance 2 of the domain

@@ -229,11 +229,6 @@ def _fibonacci(i: np.ndarray, m) -> np.ndarray:
     return np.stack([s * np.cos(theta), s * np.sin(theta), z], axis=1)
 
 
-def fibonacci_sphere(m: int) -> np.ndarray:
-    """Quasi-uniform points on the unit 2-sphere (golden-angle spiral)."""
-    return _fibonacci(np.arange(m) + 0.5, m)
-
-
 def _deposit_spheres(flat: np.ndarray, n: int, lo, h, centers: np.ndarray,
                      radii: np.ndarray, weights: np.ndarray, base=0) -> int:
     """Spread each sphere's charge evenly over max(64, 4*pi*(R/h)^2)

@@ -182,3 +182,59 @@ def test_trials_flag_overrides_config(tmp_path):
     rows = (tmp_path / "mecke.csv").read_text().splitlines()
     assert rows[0].split(",")[:2] == ["functional", "trials"]
     assert [row.split(",")[:2] for row in rows[1:]] == [["count", "20"]]
+
+
+@pytest.mark.parametrize("command", ["rates", "hminus"])
+def test_epsilon_rejected_where_the_grid_replaces_it(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--epsilon", "0.1", "--dry-run", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "--epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_partition_guard_catches_a_planted_violation(tmp_path, capsys, monkeypatch):
+    import holelab.cli as cli
+    real = cli.partition_configuration
+
+    def contagion_point_moved_to_good(config, delta):
+        part = real(config, delta)
+        assert part.bad_I_tilde.size > 0
+        part.good = np.sort(np.append(part.good, part.bad_I_tilde[0]))
+        part.bad_I_tilde = part.bad_I_tilde[1:]
+        return part
+
+    monkeypatch.setattr(cli, "partition_configuration", contagion_point_moved_to_good)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "spec": {"d": 3, "epsilon": 0.125, "process": "lattice",
+                 "marks": {"kind": "pareto", "beta_eff": 0.5},
+                 "domain": {"shape": "axis_cube", "half_width": 0.5},
+                 "master_seed": 0}}))
+    code = run(["partition", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "good_avoids_bad_region" in out and "touches safety ball" in out
+
+
+def test_covering_guard_catches_a_planted_violation(tmp_path, capsys, monkeypatch):
+    import holelab.cli as cli
+    real = cli.build_random_covering
+
+    def cube_shifted_onto_a_foreign_cube(config, k, delta=None):
+        cov = real(config, k, delta)
+        cov.cube_lo[0], cov.cube_hi[0] = cov.cube_lo[1], cov.cube_hi[1]
+        return cov
+
+    monkeypatch.setattr(cli, "build_random_covering", cube_shifted_onto_a_foreign_cube)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "spec": {"d": 3, "epsilon": 1 / 16, "process": "poisson", "lambda": 1.0,
+                 "marks": {"kind": "pareto", "beta_eff": 0.5},
+                 "domain": {"shape": "axis_cube", "half_width": 0.5},
+                 "master_seed": 3}}))
+    code = run(["covering", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "cubes of thinned points 0 and 1 overlap" in out

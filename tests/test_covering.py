@@ -6,9 +6,10 @@ import pytest
 from holelab import (DomainDescriptor, MarkDistribution, ProcessSpec,
                      build_cube_covering, build_random_covering,
                      mesoscale_parameters, sample_configuration,
-                     trimmed_min_distance, verify_random_covering)
-from holelab.covering import (montecarlo_cell_volume, trimmed_min_distances,
-                              volume_bounds)
+                     verify_random_covering)
+from holelab.covering import trimmed_min_distances, volume_bounds
+from holelab.experiments import DEFAULT_SEED, poisson_spec
+from holelab.index import SpatialIndex
 
 
 def spec_for(process="lattice", eps=0.125, marks=None, half=1.0, lam=1.0, seed=0):
@@ -98,6 +99,53 @@ def test_boundary_cell_scaling():
     assert 2.0 ** 2 * 0.6 <= ratio <= 2.0 ** 2 * 1.7
 
 
+def scalar_inner_margin(domain, lo, hi, margin):
+    """One box at a time (reference for the array predicate)."""
+    if domain.shape == "axis_cube":
+        return bool(np.max(np.maximum(np.abs(lo), np.abs(hi))) <= domain.half_width - margin)
+    corner = np.maximum(np.abs(lo), np.abs(hi))
+    return bool(np.sqrt(np.sum(corner ** 2)) <= 1.0 - margin)
+
+
+def scalar_box_intersects(domain, lo, hi):
+    """One box at a time (reference for the array predicate)."""
+    if domain.shape == "axis_cube":
+        return bool(np.all(lo < domain.half_width) and np.all(hi > -domain.half_width))
+    nearest = np.clip(0.0, lo, hi)
+    return bool(np.sum(nearest ** 2) < 1.0)
+
+
+@pytest.mark.parametrize("domain,eps,ks", [
+    (DomainDescriptor("axis_cube", 1.0), 1 / 8, (2, 3, 4)),     # faces on the boundary
+    (DomainDescriptor("axis_cube", 0.45), 1 / 16, (2, 3)),      # cells straddle it
+    (DomainDescriptor("unit_ball"), 1 / 16, (2, 3, 4)),
+])
+def test_array_domain_predicates_match_scalar_calls(domain, eps, ks):
+    spec = ProcessSpec(d=3, epsilon=eps, process="poisson",
+                       marks=MarkDistribution.constant(1.0), domain=domain,
+                       intensity=1.0, master_seed=4)
+    config = sample_configuration(spec, 0)
+    for k in ks:
+        cov = build_cube_covering(config, k)
+        meets = [scalar_box_intersects(domain, lo, hi) for lo, hi in zip(cov.lo, cov.hi)]
+        inner = [scalar_inner_margin(domain, lo, hi, eps) for lo, hi in zip(cov.lo, cov.hi)]
+        assert cov.meets_domain.dtype == bool and cov.interior.dtype == bool
+        assert np.array_equal(cov.meets_domain, meets)
+        assert np.array_equal(cov.interior, inner)
+        # interior, boundary and outside cells all occur
+        assert np.any(cov.interior) and np.any(cov.meets_domain & ~cov.interior)
+        assert np.any(~cov.meets_domain) or domain.shape == "axis_cube"
+    # boxes off the tiling, inside, across and outside the boundary
+    rng = np.random.default_rng(1)
+    lo = rng.uniform(-1.5, 1.5, size=(400, 3))
+    hi = lo + rng.uniform(0.0, 0.8, size=(400, 3))
+    meets = domain.box_intersects(lo, hi)
+    inner = domain.inner_margin(lo, hi, eps)
+    assert np.array_equal(meets, [scalar_box_intersects(domain, a, b) for a, b in zip(lo, hi)])
+    assert np.array_equal(inner, [scalar_inner_margin(domain, a, b, eps) for a, b in zip(lo, hi)])
+    assert np.any(inner) and np.any(meets & ~inner) and np.any(~meets)
+
+
 # ----------------------------------------------------------------------
 # trimmed distances
 # ----------------------------------------------------------------------
@@ -158,8 +206,8 @@ def test_trimmed_distance_bruteforce_cases():
             n = math.ceil(math.log2(dist / base))
             want = min(2.0 ** (n - 1) * base, r[i])
         assert got[i] == pytest.approx(want, rel=1e-12)
-    # scalar wrapper agrees
-    assert trimmed_min_distance(config, cov, 5) == pytest.approx(got[5])
+    # a one-point call agrees
+    assert trimmed_min_distances(config, cov, np.array([5]), kappa)[0] == pytest.approx(got[5])
 
 
 # ----------------------------------------------------------------------
@@ -215,6 +263,29 @@ def test_random_covering_bounds_and_dichotomy():
         assert np.all(cov.volumes[live] >= lo_b) and np.all(cov.volumes[live] <= hi_b)
 
 
+def montecarlo_cell_volume(cov, cell: int, rng: np.random.Generator,
+                           samples: int = 20000) -> float:
+    """Independent hit-or-miss estimate of one cell volume."""
+    base = cov.base
+    eps = cov.epsilon
+    pad = eps / 2.0
+    lo = base.lo[cell] - pad
+    hi = base.hi[cell] + pad
+    x = rng.uniform(lo, hi, size=(samples, lo.size))
+    inside_tile = np.all((x >= base.lo[cell]) & (x < base.hi[cell]), axis=1)
+    mask = inside_tile.copy()
+    rel = np.flatnonzero(cov.inc_cell == cell)
+    for r in rel:
+        p = cov.inc_point[r]
+        in_cube = np.all((x >= cov.cube_lo[p]) & (x < cov.cube_hi[p]), axis=1)
+        if cov.inc_own[r]:
+            mask |= in_cube
+        else:
+            mask &= ~in_cube
+    box_vol = float(np.prod(hi - lo))
+    return box_vol * float(np.count_nonzero(mask)) / samples
+
+
 def test_random_covering_montecarlo_volumes():
     marks = MarkDistribution.pareto_for_beta(3, 0.5)
     spec = spec_for("poisson", eps=1 / 16, marks=marks, seed=1)
@@ -226,6 +297,84 @@ def test_random_covering_montecarlo_volumes():
     mc = sum(montecarlo_cell_volume(cov, int(c), rng, 60000) for c in cells)
     exact = float(cov.volumes[cells].sum())
     assert abs(mc - exact) / exact < 0.01
+
+
+def loop_covering_counts(cov):
+    """Overlaps among cube pairs within rescaled distance one, and the
+    dichotomy cell by cell over own/foreign incidence pairs (reference)."""
+    eps = cov.epsilon
+    overlap, detail = 0, ""
+    centers = (cov.cube_lo + cov.cube_hi) / 2.0
+    i, j = SpatialIndex(centers / eps).close_pairs(1.0)
+    if i.size:
+        gap = (np.minimum(cov.cube_hi[i], cov.cube_hi[j])
+               - np.maximum(cov.cube_lo[i], cov.cube_lo[j]))
+        bad = np.all(gap > 1e-12, axis=1)
+        overlap = int(np.count_nonzero(bad))
+        if overlap:
+            k0 = int(np.argmax(bad))
+            detail = f"cubes of thinned points {i[k0]} and {j[k0]} overlap"
+    dichotomy = 0
+    order = np.argsort(cov.inc_cell, kind="stable")
+    cells_sorted = cov.inc_cell[order]
+    bounds = np.flatnonzero(np.diff(cells_sorted)) + 1
+    starts = np.concatenate(([0], bounds, [cells_sorted.size]))
+    for b in range(starts.size - 1):
+        seg = order[starts[b]:starts[b + 1]]
+        po = cov.inc_point[seg[cov.inc_own[seg]]]
+        pf = cov.inc_point[seg[~cov.inc_own[seg]]]
+        gap = (np.minimum(cov.cube_hi[po][:, None, :], cov.cube_hi[pf][None, :, :])
+               - np.maximum(cov.cube_lo[po][:, None, :], cov.cube_lo[pf][None, :, :]))
+        dichotomy += int(np.count_nonzero(np.all(gap > 1e-12, axis=2)))
+    return overlap, dichotomy, detail
+
+
+def criterion9_covering(replicate):
+    spec = poisson_spec(MarkDistribution.pareto_for_beta(3, 0.5), intensity=1.0,
+                        epsilon=1 / 16, seed=DEFAULT_SEED)
+    return build_random_covering(sample_configuration(spec, replicate), 3)
+
+
+def counts(report):
+    return report.overlap_violations, report.dichotomy_violations, report.detail
+
+
+def test_dichotomy_from_overlap_pairs_matches_cell_loop():
+    rng = np.random.default_rng(0)
+    for rep in range(10):
+        cov = criterion9_covering(rep)
+        want = loop_covering_counts(cov)
+        assert want == (0, 0, "")
+        assert counts(verify_random_covering(cov)) == want
+        # shift own cubes onto a foreign cube incident in their cell
+        foreign = np.flatnonzero(~cov.inc_own)
+        for f in rng.choice(foreign, size=5, replace=False):
+            cell, q = cov.inc_cell[f], cov.inc_point[f]
+            owners = cov.inc_point[(cov.inc_cell == cell) & cov.inc_own]
+            for p in owners[owners != q][:1]:
+                cov.cube_lo[p] = cov.cube_lo[q] + 1e-6
+                cov.cube_hi[p] = cov.cube_hi[q] + 1e-6
+        want = loop_covering_counts(cov)
+        assert want[1] > 0
+        assert counts(verify_random_covering(cov)) == want
+
+
+def test_overlap_of_a_cube_inflated_past_half_epsilon():
+    cov = criterion9_covering(0)
+    eps = cov.epsilon
+    p = 0
+    x = (cov.cube_lo[p] + cov.cube_hi[p]) / 2.0
+    cov.cube_lo[p], cov.cube_hi[p] = x - eps, x + eps
+    # every overlap with the inflated cube, by brute force over all cubes
+    gap = np.minimum(cov.cube_hi, cov.cube_hi[p]) - np.maximum(cov.cube_lo, cov.cube_lo[p])
+    with_p = int(np.count_nonzero(np.all(gap > 1e-12, axis=1))) - 1
+    loop_overlap, loop_dichotomy, _ = loop_covering_counts(cov)
+    report = verify_random_covering(cov)
+    # the cubes of a valid covering do not overlap, so every overlap involves p,
+    # and some of them lie beyond rescaled distance one
+    assert loop_overlap < with_p
+    assert report.overlap_violations == with_p
+    assert report.dichotomy_violations == loop_dichotomy
 
 
 def test_lattice_recovers_deterministic_covering():

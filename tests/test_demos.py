@@ -8,9 +8,9 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# 02 and 05 run ensembles (seconds to minutes) and stay out of this check
-QUICK_DEMOS = ["01_sampling_and_marks", "03_corrector_and_capacity",
-               "04_mesoscopic_covering", "06_grid_backend"]
+# 05 runs rate ensembles (minutes) and stays out of this check
+QUICK_DEMOS = ["01_sampling_and_marks", "02_partition_and_overlaps",
+               "03_corrector_and_capacity", "04_mesoscopic_covering", "06_grid_backend"]
 
 
 @pytest.mark.parametrize("name", QUICK_DEMOS)

@@ -190,6 +190,87 @@ def test_verify_detects_misclassified_point():
     assert "good_avoids_bad_region" in failed
 
 
+def loop_good_avoids_bad_region(config, part):
+    """One safety ball at a time against every good point (reference)."""
+    eps = config.spec.epsilon
+    own = (np.full(len(config), eps / 4.0) if config.is_lattice
+           else config.minimal_distances())
+    good, centers = part.good, config.centers()
+    for w in range(part.safety_centers.shape[0]):
+        if good.size == 0:
+            break
+        diff = centers[good] - part.safety_centers[w]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        hit = dist < own[good] + part.safety_radii[w] - 1e-12
+        if np.any(hit):
+            return False, f"good point {good[np.argmax(hit)]} touches safety ball {w}"
+    return True, ""
+
+
+def good_avoids_bad_region(config, part):
+    check, = [c for c in verify_partition(config, part).checks
+              if c.name == "good_avoids_bad_region"]
+    return check.passed, check.detail
+
+
+def relabel_good(part, moved, drop_their_balls):
+    """Append bad points to the good ones, out of order; optionally drop
+    their own safety balls, so that only balls around other bad points
+    can be touched."""
+    if drop_their_balls:
+        keep = ~np.isin(np.sort(part.bad), moved)    # safety balls follow index order
+        part.safety_centers = part.safety_centers[keep]
+        part.safety_radii = part.safety_radii[keep]
+    part.good = np.concatenate([part.good, moved])
+
+
+@pytest.mark.parametrize("eps", [1 / 12, 1 / 16])
+def test_batched_safety_query_matches_loop_poisson(eps):
+    marks = MarkDistribution.pareto_for_beta(3, 0.5)
+    planted_failures = 0
+    for seed in range(10):
+        config = sample_configuration(make_spec("poisson", eps, marks, seed=seed, half=0.5), 0)
+        part = partition_configuration(config, 0.8)
+        want = loop_good_avoids_bad_region(config, part)
+        assert want[0]
+        assert good_avoids_bad_region(config, part) == want
+        # a relabelled point touches its own safety ball; without it, a
+        # contagion point still touches the ball of a core bad point
+        drop = seed % 2 == 1
+        pool = part.bad_I_tilde if drop and part.bad_I_tilde.size else part.bad
+        rng = np.random.default_rng(seed)
+        moved = rng.choice(pool, size=min(1 + seed % 4, pool.size), replace=False)
+        relabel_good(part, moved, drop_their_balls=drop)
+        want = loop_good_avoids_bad_region(config, part)
+        planted_failures += not want[0]
+        assert good_avoids_bad_region(config, part) == want
+    assert planted_failures >= 6
+
+
+def test_batched_safety_query_edge_cases():
+    marks = MarkDistribution.pareto_for_beta(3, 0.5)
+    # lattice: J holes and their contagion, plain and with contagion points
+    # relabelled good, so that several good points touch one J ball (one
+    # of them listed twice)
+    config = sample_configuration(make_spec(epsilon=0.125, marks=marks, half=0.5), 0)
+    part = partition_lattice(config, 0.8)
+    contagion = part.bad_I_tilde
+    assert part.bad_J.size and contagion.size > 1
+    assert good_avoids_bad_region(config, part) == loop_good_avoids_bad_region(config, part)
+    relabel_good(part, np.concatenate([contagion[1:2], contagion[::-1]]), drop_their_balls=True)
+    want = loop_good_avoids_bad_region(config, part)
+    assert want == (False, f"good point {contagion[1]} touches safety ball 0")
+    assert good_avoids_bad_region(config, part) == want
+    # no good points
+    part.good = np.empty(0, dtype=np.int64)
+    assert good_avoids_bad_region(config, part) == (True, "")
+    # no bad points
+    config = sample_configuration(make_spec(epsilon=0.125, half=0.5), 0)
+    part = partition_lattice(config, 0.8)
+    assert part.safety_radii.size == 0
+    assert good_avoids_bad_region(config, part) == (True, "")
+
+
 def test_contagion_monotone_under_mark_bump():
     marks = MarkDistribution.pareto_for_beta(3, 0.5)
     spec = make_spec(epsilon=0.125, marks=marks, seed=7, half=0.5)

@@ -14,7 +14,7 @@ from holelab import (CorrectorField, DomainDescriptor, MarkDistribution,
 from holelab import pde
 from holelab.corrector import CapacityMeasure
 from holelab.pde import (Grid, GriddedMeasure, corrector_on_grid,
-                         dirichlet_energy_central, fibonacci_sphere)
+                         dirichlet_energy_central)
 
 
 def unit_marks_config(eps, half=1.0, seed=0):
@@ -33,6 +33,11 @@ def eigenfunction(grid):
     return (np.sin(np.pi * (x - lo[0]) / span[0])
             * np.sin(np.pi * (y - lo[1]) / span[1])
             * np.sin(np.pi * (z - lo[2]) / span[2]))
+
+
+def fibonacci_sphere(m: int) -> np.ndarray:
+    """Quasi-uniform points on the unit 2-sphere (golden-angle spiral)."""
+    return pde._fibonacci(np.arange(m) + 0.5, m)
 
 
 # ----------------------------------------------------------------------
