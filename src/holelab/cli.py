@@ -298,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--dry-run", action="store_true",
                        help="validate config and print the planned work")
-        if name not in ("rates", "hminus"):
-            # rates and hminus take their epsilons from epsilon_grid
+        if name not in ("rates", "hminus", "mecke"):
+            # rates and hminus take their epsilons from epsilon_grid, mecke
+            # from its spec
             p.add_argument("--epsilon", type=float, default=None)
         if name == "exponents":
             p.add_argument("--d", type=int, default=None)

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .io_utils import column_rows
 from .marks import MarkDistribution
 from .process import MarkedConfiguration, ProcessSpec, thin_configuration
 
@@ -173,8 +174,7 @@ class CapacityMeasure:
         return float(self.weights.sum())
 
     def csv_rows(self):
-        for k in range(len(self)):
-            yield (*self.centers[k], self.sphere_radii[k], self.weights[k])
+        return column_rows(self.centers, self.sphere_radii, self.weights)
 
 
 def build_capacity_measure(field: CorrectorField) -> CapacityMeasure:

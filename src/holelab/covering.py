@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .index import SpatialIndex
+from .io_utils import column_rows
 from .process import MarkedConfiguration, thin_configuration
 
 
@@ -86,11 +87,15 @@ class CubeCovering:
             idx = idx * self.m_count[a] + rel[..., a]
         return idx
 
-    def csv_rows(self, volumes: Optional[np.ndarray] = None):
-        counts = np.bincount(self.point_cell, minlength=self.n_cells)
-        vols = np.full(self.n_cells, self.cell_size ** self.m_lo.size) if volumes is None else volumes
-        for c in range(self.n_cells):
-            yield (c, *self.anchors[c], vols[c], int(counts[c]), bool(self.interior[c]))
+    def csv_rows(self):
+        vols = np.full(self.n_cells, self.cell_size ** self.m_lo.size)
+        return _cell_rows(self, vols, self.point_cell)
+
+
+def _cell_rows(base: CubeCovering, volumes: np.ndarray, point_cell: np.ndarray):
+    """One row per cell: index, anchor, volume, point count, interior flag."""
+    counts = np.bincount(point_cell, minlength=base.n_cells)
+    return column_rows(np.arange(base.n_cells), base.anchors, volumes, counts, base.interior)
 
 
 def build_cube_covering(config: MarkedConfiguration, k: int) -> CubeCovering:
@@ -180,10 +185,7 @@ class RandomCovering:
         return self.base.epsilon
 
     def csv_rows(self):
-        counts = np.bincount(self.cell_of, minlength=self.base.n_cells)
-        for c in range(self.base.n_cells):
-            yield (c, *self.base.anchors[c], self.volumes[c], int(counts[c]),
-                   bool(self.base.interior[c]))
+        return _cell_rows(self.base, self.volumes, self.cell_of)
 
 
 def build_random_covering(config: MarkedConfiguration, k: int,

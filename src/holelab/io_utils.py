@@ -8,6 +8,7 @@ import json
 import os
 import struct
 import tempfile
+from itertools import repeat
 
 import numpy as np
 
@@ -38,9 +39,33 @@ def write_csv(path: str, header, rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
+
+
+_ROW_BLOCK = 1024      # rows converted per tolist call
+
+
+def column_rows(*columns):
+    """CSV rows of plain Python values from aligned columns.
+
+    A 1-D array gives one field per row, an (n, k) array k fields, and a
+    scalar the same field in every row.  Arrays are converted with
+    ``tolist`` a block of rows at a time, which is much faster than
+    indexing numpy scalars row by row and keeps the lists small; ``csv``
+    writes a Python float and a numpy float64 with the same text.
+    """
+    n = next(len(c) for c in columns if np.ndim(c))
+    for start in range(0, n, _ROW_BLOCK):
+        fields = []
+        for col in columns:
+            if np.ndim(col) == 0:
+                fields.append(repeat(col))
+            elif np.ndim(col) == 1:
+                fields.append(col[start:start + _ROW_BLOCK].tolist())
+            else:
+                fields.extend(col[start:start + _ROW_BLOCK].T.tolist())
+        yield from zip(*fields)
 
 
 def write_json(path: str, obj) -> None:

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .io_utils import column_rows
 from .process import MarkedConfiguration
 
 
@@ -37,8 +38,7 @@ class HolePartition:
         labels = [(self.good, "good"), (self.bad_J, "J"), (self.bad_K, "K"),
                   (self.bad_C, "C"), (self.bad_I_tilde, "I")]
         for idx, name in labels:
-            for i in idx:
-                yield (int(i), name, config.rho[i], r[i])
+            yield from column_rows(idx, name, config.rho[idx], r[idx])
 
 
 def _core_partition(config: MarkedConfiguration, delta: float, poisson: bool):
@@ -71,7 +71,7 @@ def _contagion(config: MarkedConfiguration, core: np.ndarray, a: np.ndarray,
     pts = config.points
     # rescaled reach: own radius is at most eps/4
     reach = 0.25 + 2.0 * trunc[core] / eps
-    c, cand = config.index.query(pts[core], reach + 1e-12)
+    c, cand = config.neighbours(core, reach + 1e-12)
     w = core[c]
     keep = cand != w
     w, cand = w[keep], cand[keep]
@@ -185,7 +185,7 @@ def overlap_pairs(config: MarkedConfiguration) -> int:
     if big.size == 0:
         return count
     a_max = float(rescaled.max())
-    c, k = config.index.query(pts[big], rescaled[big] + a_max + 1e-12)
+    c, k = config.neighbours(big, rescaled[big] + a_max + 1e-12)
     b = big[c]
     keep = k != b
     b, k = b[keep], k[keep]

@@ -15,6 +15,7 @@ import numpy as np
 
 from .domain import DomainDescriptor
 from .index import SpatialIndex
+from .io_utils import column_rows
 from .marks import MarkDistribution
 from .rng import coordinate_uniforms, replicate_generator
 
@@ -101,6 +102,7 @@ class MarkedConfiguration:
         self.lattice_coords = lattice_coords
         self._index: Optional[SpatialIndex] = None
         self._min_dist: Optional[np.ndarray] = None
+        self._site_keys: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -124,24 +126,66 @@ class MarkedConfiguration:
         """Physical hole centres (points scaled back by epsilon)."""
         return self.spec.epsilon * self.points
 
+    def neighbours(self, idx, reach):
+        """Pairs (c, j) with point j within the closed max-norm ball of
+        radius reach[c] around point idx[c], as ``SpatialIndex.query``.
+
+        On the lattice no tree is built: the sites come from the integer box
+        of half-width floor(reach[c]) around each centre, clipped to the
+        sampled [-m, m]^d.  Integer differences compare exactly with any
+        reach, so the pairs are the ones a tree would return.
+        """
+        idx = np.asarray(idx, dtype=np.int64)
+        reach = np.broadcast_to(np.asarray(reach, dtype=float), idx.shape)
+        if not self.is_lattice:
+            return self.index.query(self.points[idx], reach)
+        m = int(math.floor(self.spec.domain.radius / self.spec.epsilon))
+        keys = self._lattice_keys(m)
+        half = np.floor(reach).astype(np.int64)[:, None]
+        lo = np.maximum(self.lattice_coords[idx] - half, -m)
+        ext = np.maximum(np.minimum(self.lattice_coords[idx] + half, m) - lo + 1, 0)
+        vol = np.prod(ext, axis=1)
+        c = np.repeat(np.arange(idx.size, dtype=np.int64), vol)
+        # position inside the centre's box, peeled into axis offsets from
+        # the last axis, which varies fastest in the site keys as well
+        pos = np.arange(c.size, dtype=np.int64) - np.repeat(np.cumsum(vol) - vol, vol)
+        key = np.zeros(c.size, dtype=np.int64)
+        stride = 1
+        for axis in range(self.spec.d - 1, -1, -1):
+            e = ext[c, axis]
+            key += (lo[c, axis] + m + pos % e) * stride
+            pos //= e
+            stride *= 2 * m + 1
+        # ball domains lack some box sites; the cube has them all
+        j = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+        found = keys[j] == key
+        return c[found], j[found]
+
+    def _lattice_keys(self, m: int) -> np.ndarray:
+        """Row-major keys of ``lattice_coords`` in [-m, m]^d, strictly
+        increasing as the sampler emits the sites."""
+        if self._site_keys is None:
+            keys = np.ravel_multi_index(tuple((self.lattice_coords + m).T),
+                                        (2 * m + 1,) * self.spec.d)
+            if np.any(np.diff(keys) <= 0):
+                raise ValueError("lattice sites are not in increasing row-major order")
+            self._site_keys = keys
+        return self._site_keys
+
     def minimal_distances(self) -> np.ndarray:
         """Vector of minimal distances for every point (see minimal_distance)."""
         if self._min_dist is None:
             eps = self.spec.epsilon
-            lattice_full_cube = (self.is_lattice
-                                 and self.spec.domain.shape == "axis_cube"
-                                 and math.floor(self.spec.domain.half_width / eps) >= 1)
-            if lattice_full_cube:
-                # every site of a cube-shaped lattice box has a neighbour at
-                # unit distance, so the capped minimum is identically one
+            if self.is_lattice:
+                # distinct integer sites are at least one apart and the
+                # distance is capped at one, so the minimum is identically one
                 self._min_dist = np.full(len(self), eps / 4.0)
             else:
                 self._min_dist = (eps / 4.0) * self.index.nearest_neighbor_distances(cap=1.0)
         return self._min_dist
 
     def csv_rows(self):
-        for i in range(len(self)):
-            yield (self.replicate, *self.points[i], self.rho[i])
+        return column_rows(self.replicate, self.points, self.rho)
 
 
 def sample_configuration(spec: ProcessSpec, replicate: int,

@@ -336,9 +336,9 @@ class EnsembleStat:
 
     def csv_rows(self, spec: ProcessSpec):
         beta = spec.marks.beta_eff
-        for i, eps in enumerate(self.epsilon_grid):
-            for r in range(self.replicates):
-                yield (self.quantity, spec.d, beta, eps, r, self.samples[i, r])
+        for eps, row in zip(self.epsilon_grid, self.samples.tolist()):
+            for r, value in enumerate(row):
+                yield (self.quantity, spec.d, beta, eps, r, value)
 
 
 def _delta_for(spec: ProcessSpec, params: dict) -> float:

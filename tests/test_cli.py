@@ -184,7 +184,8 @@ def test_trials_flag_overrides_config(tmp_path):
     assert [row.split(",")[:2] for row in rows[1:]] == [["count", "20"]]
 
 
-@pytest.mark.parametrize("command", ["rates", "hminus"])
+# mecke has no grid, but its spec fixes epsilon just as firmly
+@pytest.mark.parametrize("command", ["rates", "hminus", "mecke"])
 def test_epsilon_rejected_where_the_grid_replaces_it(tmp_path, capsys, command):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

@@ -6,8 +6,10 @@ import pytest
 from holelab import (DomainDescriptor, MarkDistribution, ProcessSpec,
                      bad_capacity_sum, build_random_covering, overlap_pairs,
                      partition_lattice, partition_poisson, sample_configuration,
-                     verify_partition, verify_random_covering)
+                     theoretical_exponents, verify_partition, verify_random_covering)
+from holelab.experiments import DEFAULT_SEED, lattice_spec
 from holelab.partition import partition_configuration
+from holelab.process import MarkedConfiguration
 
 
 def make_spec(process="lattice", epsilon=0.1, marks=None, lam=1.0, seed=0, half=1.0):
@@ -351,8 +353,8 @@ def test_unit_ball_lattice_sites_distances_and_partition():
     want = sum(1 for x in range(-m, m + 1) for y in range(-m, m + 1)
                for z in range(-m, m + 1) if x * x + y * y + z * z <= m * m)
     assert len(config) == want
-    # every site of the ball has a lattice neighbour one step closer to the
-    # origin; off the full cube the value comes from the neighbour search
+    # distinct lattice sites are at least one apart, so the capped distance
+    # is one at every site, on the ball as on the cube
     assert np.all(config.minimal_distances() == eps / 4)
     part = partition_lattice(config, 0.8)
     assert verify_partition(config, part).ok
@@ -367,3 +369,118 @@ def test_unit_ball_poisson_partition_and_covering():
     cov = build_random_covering(config, 3)
     report = verify_random_covering(cov)
     assert report.ok, report.detail
+
+
+# ----------------------------------------------------------------------
+# lattice neighbours from integer offsets, against the k-d tree path
+# ----------------------------------------------------------------------
+
+def tree_neighbours(config, idx, reach):
+    """The k-d tree query, kept here as the reference for integer offsets."""
+    return config.index.query(config.points[idx], reach)
+
+
+def lattice_spec_for(shape, eps, marks=None, seed=0):
+    domain = DomainDescriptor("unit_ball") if shape == "unit_ball" else DomainDescriptor()
+    return ProcessSpec(d=3, epsilon=eps, process="lattice",
+                       marks=marks or MarkDistribution.pareto_for_beta(3, 0.5),
+                       domain=domain, master_seed=seed)
+
+
+def pair_set(c, j):
+    pairs = set(zip(c.tolist(), j.tolist()))
+    assert len(pairs) == c.size          # no pair is reported twice
+    return pairs
+
+
+@pytest.mark.parametrize("shape", ["axis_cube", "unit_ball"])
+@pytest.mark.parametrize("eps", [1 / 8, 1 / 16], ids=["1/8", "1/16"])
+def test_lattice_neighbours_match_tree(shape, eps):
+    config = sample_configuration(lattice_spec_for(shape, eps), 0)
+    coords = config.lattice_coords
+    m = int(round(1 / eps))
+    extent = np.abs(coords).max(axis=1)
+    corners = np.flatnonzero(np.all(np.abs(coords) == np.abs(coords).max(), axis=1))
+    rng = np.random.default_rng(1)
+    faces = np.flatnonzero(extent == m)          # six poles on the ball
+    faces = rng.choice(faces, min(8, faces.size), replace=False)
+    centres = np.unique(np.concatenate([
+        corners, faces, [np.flatnonzero(extent == 0)[0], 0, len(config) - 1],
+        rng.integers(0, len(config), 12)]))
+    reaches = [0.0, 1.0, 2.0, 3.0, 1.0 + 1e-12, 2.0 + 1e-12, 0.25, 0.999,
+               2.5, 3.0 * m]                                   # the last is clipped
+    idx = np.repeat(centres, len(reaches))
+    reach = np.tile(reaches, centres.size)
+    got = pair_set(*config.neighbours(idx, reach))
+    assert config._index is None
+    assert got == pair_set(*tree_neighbours(config, idx, reach))
+    # a reach wider than the domain returns every site
+    wide = idx[reach == 3.0 * m]
+    c, _ = config.neighbours(wide, np.full(wide.size, 3.0 * m))
+    assert np.array_equal(np.bincount(c), np.full(wide.size, len(config)))
+    c, j = config.neighbours(np.empty(0, dtype=np.int64), np.empty(0))
+    assert c.size == j.size == 0
+
+
+def test_lattice_neighbours_refuse_unordered_sites():
+    config = sample_configuration(lattice_spec_for("axis_cube", 1 / 8), 0)
+    order = np.random.default_rng(0).permutation(len(config))
+    config.points, config.rho = config.points[order], config.rho[order]
+    config.lattice_coords = config.lattice_coords[order]
+    with pytest.raises(ValueError, match="increasing"):
+        config.neighbours(np.array([0]), np.array([1.0]))
+
+
+def lattice_results(config, delta):
+    part = partition_configuration(config, delta)
+    return (classes_of(part, len(config)), part.safety_centers, part.safety_radii,
+            bad_capacity_sum(config, part), overlap_pairs(config))
+
+
+def assert_results_match_tree(config, delta, monkeypatch):
+    got = lattice_results(config, delta)
+    assert config._index is None
+    with monkeypatch.context() as mp:
+        mp.setattr(MarkedConfiguration, "neighbours", tree_neighbours)
+        want = lattice_results(config, delta)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+        assert np.asarray(g).dtype == np.asarray(w).dtype
+    return got
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_lattice_partition_and_overlaps_match_tree(beta, monkeypatch):
+    # the geometry of criteria 5, 6 and 10: unit cube, Pareto marks, the
+    # default seed at eps = 1/8 ... 1/64 and further replicates coarse
+    marks = MarkDistribution.pareto_for_beta(3, beta)
+    deltas = sorted({0.8, theoretical_exponents(3, beta, marks).delta})
+    runs = [(eps, 0) for eps in (1 / 8, 1 / 12, 1 / 16, 1 / 24, 1 / 32, 1 / 48, 1 / 64)]
+    runs += [(eps, rep) for eps in (1 / 8, 1 / 16) for rep in range(1, 13)]
+    contagion = overlaps = 0
+    for eps, rep in runs:
+        config = sample_configuration(lattice_spec(marks, eps, seed=DEFAULT_SEED), rep)
+        for delta in deltas:
+            classes, *_, overlap = assert_results_match_tree(config, delta, monkeypatch)
+            contagion += int(np.any(classes == "I"))
+            overlaps += int(overlap > 0)
+    if beta == 0.5:
+        assert contagion > 0 and overlaps > 0
+
+
+@pytest.mark.parametrize("where", ["centre", "corner"])
+def test_planted_giant_hole_matches_tree(where, monkeypatch):
+    eps = 1 / 16
+    config = sample_configuration(lattice_spec_for("axis_cube", eps, seed=3), 0)
+    coords = config.lattice_coords
+    site = np.flatnonzero(np.all(coords == (0 if where == "centre" else -16), axis=1))
+    config.rho = config.rho.copy()
+    config.rho[site] = 2.0 / config.spec.hole_scale       # truncated radius 1
+    classes, *_ = assert_results_match_tree(config, 0.8, monkeypatch)
+    assert classes[site[0]] == "J" and np.count_nonzero(classes == "I") > 0
+    # the candidates of a centre are exactly its box clipped to the cube
+    reach = 0.25 + 2.0 / eps + 1e-12
+    c, _ = config.neighbours(site, np.array([reach]))
+    r = math.floor(reach)
+    box = np.prod(np.minimum(coords[site] + r, 16) - np.maximum(coords[site] - r, -16) + 1)
+    assert c.size == box

@@ -108,6 +108,23 @@ def test_minimal_distance_lattice():
         assert minimal_distance(config, i) == pytest.approx(0.1 / 4)
 
 
+@pytest.mark.parametrize("domain, eps", [
+    (DomainDescriptor("unit_ball"), 1 / 8),
+    (DomainDescriptor("unit_ball"), 1 / 16),
+    (DomainDescriptor("axis_cube", 0.5), 1 / 8),
+    (DomainDescriptor("axis_cube", 0.05), 1 / 8),      # one site
+], ids=["ball-1/8", "ball-1/16", "cube-0.5", "one-site"])
+def test_lattice_minimal_distances_need_no_tree(domain, eps):
+    spec = ProcessSpec(d=3, epsilon=eps, process="lattice",
+                       marks=MarkDistribution.constant(1.0), domain=domain)
+    config = sample_configuration(spec, 0)
+    got = config.minimal_distances()
+    assert config._index is None
+    want = (eps / 4.0) * SpatialIndex(config.points).nearest_neighbor_distances(cap=1.0)
+    assert np.array_equal(got, want)
+    assert len(config) > 1 or domain.half_width < eps
+
+
 def test_minimal_distance_pair_and_cap():
     spec = cube_spec("poisson", epsilon=0.1, lam=1.0)
     config = sample_configuration(spec, 0)
