@@ -7,7 +7,7 @@ prints basic statistics, and shows how minimal distances behave.
 import numpy as np
 
 from holelab import (DomainDescriptor, MarkDistribution, ProcessSpec,
-                     minimal_distance, sample_configuration, thin_configuration)
+                     sample_configuration, thin_configuration)
 
 marks = MarkDistribution.pareto_for_beta(d=3, beta_eff=0.5)
 print(f"pareto marks: alpha={marks.params[0]}, x_min={marks.params[1]:.4f}, "
@@ -27,4 +27,4 @@ for process, lam in (("lattice", None), ("poisson", 1.0)):
     kept = thin_configuration(config, delta=0.8)
     print(f"  thinned points (small, well separated): {kept.size}/{len(config)}")
     print(f"  point 0: position {config.points[0]}, R = "
-          f"{minimal_distance(config, 0):.5f}")
+          f"{config.minimal_distances()[0]:.5f}")

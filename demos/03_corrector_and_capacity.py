@@ -7,17 +7,20 @@ converging to the homogenized constant.
 
 import numpy as np
 
-from holelab import (CorrectorField, DomainDescriptor, MarkDistribution,
+from holelab import (CorrectorField, DomainDescriptor, Grid, MarkDistribution,
                      ProcessSpec, annulus_capacity, build_capacity_measure,
-                     c0_constant, corrector_energy, corrector_eval,
-                     sample_configuration)
+                     c0_constant, corrector_energy, sample_configuration)
+from holelab.pde import corrector_on_grid
 
-# one annulus cell: profile along a ray
+# one annulus cell: profile along a ray, read off the grid nodes on the x
+# axis of a half-width 0.6 cube, which sit at r = 0.05, 0.1, ..., 0.6
 cell = CorrectorField(np.zeros((1, 3)), np.array([0.1]), np.array([0.4]), 3)
+grid = Grid.from_domain(DomainDescriptor("axis_cube", 0.6), 25)
+w = corrector_on_grid(cell, grid)
+x = grid.axes()[0]
 print("radial profile (inner 0.1, outer 0.4):")
-for r in (0.05, 0.1, 0.2, 0.3, 0.4, 0.6):
-    val = corrector_eval(cell, [r, 0.0, 0.0])
-    print(f"  r = {r:4.2f}: W = {val:.6f}")
+for i in (13, 14, 16, 18, 20, 24):
+    print(f"  r = {x[i]:4.2f}: W = {w[i, 12, 12]:.6f}")
 print(f"cell energy {corrector_energy(cell):.6f} = capacity "
       f"{annulus_capacity(0.1, 0.4, 3):.6f}")
 

@@ -47,7 +47,7 @@ _SCHEMAS = {
     "covering": {"spec", "replicate", "k", "delta", "random"},
     "rates": {"spec", "quantity", "epsilon_grid", "replicates", "delta", "k",
               "grid_n", "tolerance"},
-    "hminus": {"spec", "epsilon_grid", "grid_n"},
+    "hminus": {"epsilon_grid", "grid_n"},
     "solve": {"spec", "replicate", "grid_n", "delta", "rtol"},
     "mecke": {"spec", "trials", "functional"},
     "exponents": {"d", "beta", "epsilon"},
@@ -209,12 +209,13 @@ def _cmd_rates(args, cfg):
 
 
 def _cmd_hminus(args, cfg):
-    spec = _spec_from(cfg, args)
     grid = cfg.get("epsilon_grid", [1 / 6, 1 / 8, 1 / 12, 1 / 16])
     n = cfg.get("grid_n", 97)
     if args.dry_run:
         return 0, f"hminus: would run {len(grid)} deposits and solves at n={n}"
-    result = periodic_hminus_rate(grid, grid_n=n, seed=spec.master_seed)
+    # the geometry is fixed (unit marks on the unit-volume lattice cube)
+    seed = args.seed if args.seed is not None else 0
+    result = periodic_hminus_rate(grid, grid_n=n, seed=seed)
     write_csv(_out(args, "hminus.csv"), ["epsilon", "norm"],
               zip(result.epsilons, result.norms))
     write_json(_out(args, "hminus_fit.json"),

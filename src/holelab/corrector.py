@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -102,52 +101,14 @@ class CorrectorField:
         return CorrectorField(np.empty((0, d)), np.empty(0), np.empty(0), d)
 
     @staticmethod
-    def from_configuration(config: MarkedConfiguration, delta: float,
-                           outer: Optional[np.ndarray] = None,
-                           subset: Optional[np.ndarray] = None) -> "CorrectorField":
-        """Cells on the thinned points: inner = hole radius, outer = minimal distance.
-
-        ``outer`` overrides the per-point outer radii (aligned with the
-        selected subset); ``subset`` restricts to given point indices
-        (defaults to the thinned set for ``delta``).
-        """
-        idx = thin_configuration(config, delta) if subset is None else np.asarray(subset)
+    def from_configuration(config: MarkedConfiguration, delta: float) -> "CorrectorField":
+        """Cells on the thinned points: inner = hole radius, outer = minimal distance."""
+        idx = thin_configuration(config, delta)
         if idx.size == 0:
             return CorrectorField.empty(config.spec.d)
         a = config.hole_radii()[idx]
-        if outer is None:
-            big_r = config.minimal_distances()[idx]
-        else:
-            big_r = np.asarray(outer, dtype=float)
+        big_r = config.minimal_distances()[idx]
         return CorrectorField(config.centers()[idx], a, big_r, config.spec.d)
-
-
-def corrector_eval(field: CorrectorField, x) -> np.ndarray:
-    """Corrector value at one point or an (n, d) batch; always in [0, 1]."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = np.ones(x.shape[0])
-    if len(field) == 0:
-        return out if out.size > 1 else float(out[0])
-    d = field.d
-    # cells are disjoint, so each evaluation point sees at most one of them
-    from scipy.spatial import cKDTree
-    tree = cKDTree(field.centers)
-    r_max = float(field.outer.max())
-    hits = tree.query_ball_point(x, r_max)
-    for row, cand in enumerate(hits):
-        for k in cand:
-            r = float(np.linalg.norm(x[row] - field.centers[k]))
-            if r >= field.outer[k]:
-                continue
-            if r <= field.inner[k]:
-                out[row] = 0.0
-            else:
-                a2 = field.inner[k] ** (2.0 - d)
-                r2 = r ** (2.0 - d)
-                big2 = field.outer[k] ** (2.0 - d)
-                out[row] = (a2 - r2) / (a2 - big2)
-            break
-    return out if out.size > 1 else float(out[0])
 
 
 def corrector_energy(field: CorrectorField) -> float:

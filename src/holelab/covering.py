@@ -76,16 +76,8 @@ class CubeCovering:
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         t = x / self.cell_size + self.shift
-        m = np.ceil(t - 1e-9).astype(np.int64) - 1
-        m = np.clip(m, self.m_lo, self.m_lo + self.m_count - 1)
-        return self.flat_index(m)
-
-    def flat_index(self, m: np.ndarray) -> np.ndarray:
-        rel = m - self.m_lo
-        idx = rel[..., 0]
-        for a in range(1, self.m_lo.size):
-            idx = idx * self.m_count[a] + rel[..., a]
-        return idx
+        m = np.ceil(t - 1e-9).astype(np.int64) - 1 - self.m_lo
+        return np.ravel_multi_index(tuple(m.T), tuple(self.m_count), mode="clip")
 
     def csv_rows(self):
         vols = np.full(self.n_cells, self.cell_size ** self.m_lo.size)
@@ -110,7 +102,6 @@ def build_cube_covering(config: MarkedConfiguration, k: int) -> CubeCovering:
     w = spec.domain.radius
     shift = 0.0 if k % 2 == 0 else 0.5
     # per-axis tile indices whose open tile meets (-w, w)
-    lo_edge = lambda m: s * (m - shift)
     m_min = math.floor(-w / s - 1 + shift) + 1
     m_max = math.ceil(w / s + shift) - 1
     rng = np.arange(m_min, m_max + 1, dtype=np.int64)
@@ -238,8 +229,8 @@ def build_random_covering(config: MarkedConfiguration, k: int,
             idx = idx[inside]
             if idx.size == 0:
                 continue
-            m = m[inside]
-            cells = base.flat_index(m)
+            cells = np.ravel_multi_index(tuple((m[inside] - base.m_lo).T),
+                                         tuple(base.m_count))
             tile_lo = base.lo[cells]
             tile_hi = base.hi[cells]
             over = np.prod(np.maximum(

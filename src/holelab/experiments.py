@@ -19,8 +19,7 @@ from .corrector import (CorrectorField, annulus_capacity, annulus_capacity_fd,
 from .covering import build_random_covering, mesoscale_parameters, verify_random_covering
 from .domain import DomainDescriptor
 from .marks import MarkDistribution
-from .pde import (Grid, deposit_measure, hminus_norm, homogenization_error,
-                  homogenized_solve, solve_perforated)
+from .pde import Grid, homogenization_error, homogenized_solve, solve_perforated
 from .process import MECKE_FUNCTIONALS, MarkedConfiguration, ProcessSpec, \
     mecke_check, sample_configuration, thin_configuration
 from .rates import (EnsembleStat, RateFit, ensemble_run, expected_overlap_pairs,
@@ -141,21 +140,15 @@ def periodic_hminus_rate(epsilons=(1 / 6, 1 / 8, 1 / 12, 1 / 16), grid_n: int = 
     Runs on the unit-volume cube: the pre-asymptotic constant mode (the
     order-eps^2 excess of the per-cell charge over the limit density) grows
     superlinearly with domain size and would mask the linear rate on a
-    larger box at these epsilons.  Spheres at the smallest epsilon fall just
-    below the default deposit resolution guard; the guard is disabled here
-    on purpose (the deposited charge is conserved, only smeared to the grid
-    scale).
+    larger box at these epsilons.  The norms are one deterministic replicate
+    of the ``hminus`` ensemble quantity; spheres at the smallest epsilon fall
+    just below the default deposit resolution guard, which that quantity
+    disables on purpose (the deposited charge is conserved, only smeared to
+    the grid scale).
     """
-    marks = MarkDistribution.constant(1.0)
-    norms = []
-    for eps in epsilons:
-        spec = lattice_spec(marks, epsilon=eps, half_width=half_width, seed=seed)
-        config = sample_configuration(spec, 0)
-        fld = CorrectorField.from_configuration(config, delta=1.0)
-        mu = build_capacity_measure(fld)
-        grid = Grid.from_domain(spec.domain, grid_n)
-        g = deposit_measure(mu, c0_constant(spec), grid, min_radius_factor=0.0)
-        norms.append(hminus_norm(g, grid))
+    spec = lattice_spec(MarkDistribution.constant(1.0), half_width=half_width, seed=seed)
+    stat = ensemble_run(spec, "hminus", epsilons, 1, params={"delta": 1.0, "grid_n": grid_n})
+    norms = stat.samples[:, 0].tolist()
     slope, _, r2 = fit_loglog(epsilons, norms)
     return HminusRateResult(list(epsilons), norms, slope, r2)
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import json
 import os
 import struct
@@ -13,7 +13,12 @@ from itertools import repeat
 import numpy as np
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str):
+    """Open a temporary file beside ``path`` for writing (``"w"`` for UTF-8
+    text, ``"wb"`` for bytes) and move it onto ``path`` when the block
+    completes.  On any error the target is left as it was and the temporary
+    file is removed."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -22,8 +27,10 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        binary = "b" in mode
+        with os.fdopen(fd, mode, encoding=None if binary else "utf-8",
+                       newline=None if binary else "") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -31,16 +38,17 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    with atomic_open(path, "wb") as fh:
+        fh.write(data)
 
 
 def write_csv(path: str, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    """Write the header and the rows straight into the temporary file."""
+    with atomic_open(path, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 _ROW_BLOCK = 1024      # rows converted per tolist call
@@ -69,7 +77,8 @@ def column_rows(*columns):
 
 
 def write_json(path: str, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def write_field(path: str, values: np.ndarray, h: float) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -41,31 +40,12 @@ class HolePartition:
             yield from column_rows(idx, name, config.rho[idx], r[idx])
 
 
-def _core_partition(config: MarkedConfiguration, delta: float, poisson: bool):
-    eps = config.spec.epsilon
-    d = config.spec.d
-    a = config.hole_radii()
-    mask_j = a >= eps ** (1.0 + delta)
-    if poisson:
-        r = config.minimal_distances()
-        mask_k = ~mask_j & (r <= eps ** 2)
-        mask_c = ~mask_j & ~mask_k & (2.0 * math.sqrt(d) * a >= r)
-    else:
-        mask_k = np.zeros(len(config), dtype=bool)
-        mask_c = np.zeros(len(config), dtype=bool)
-    return a, mask_j, mask_k, mask_c
-
-
 def _contagion(config: MarkedConfiguration, core: np.ndarray, a: np.ndarray,
-               poisson: bool) -> np.ndarray:
+               own: np.ndarray) -> np.ndarray:
     """Non-core points whose protection ball touches a doubled core hole."""
     eps = config.spec.epsilon
     if core.size == 0:
         return np.zeros(len(config), dtype=bool)
-    if poisson:
-        own = config.minimal_distances()
-    else:
-        own = np.full(len(config), eps / 4.0)
     hit = np.zeros(len(config), dtype=bool)
     trunc = np.minimum(a, 1.0)
     pts = config.points
@@ -81,56 +61,52 @@ def _contagion(config: MarkedConfiguration, core: np.ndarray, a: np.ndarray,
     return hit
 
 
-def _assemble(config, delta, a, mask_j, mask_k, mask_c, mask_i) -> HolePartition:
-    bad_mask = mask_j | mask_k | mask_c | mask_i
-    bad_idx = np.flatnonzero(bad_mask)
-    centers = config.centers()[bad_idx]
-    radii = 2.0 * np.minimum(a[bad_idx], 1.0)
+def _classify(config: MarkedConfiguration, delta: float) -> HolePartition:
+    """The classes and safety balls of either process.
+
+    On the lattice the K and C classes stay empty and the decomposition
+    needs eps^delta < 1/4; the J holes alone then seed the contagion.
+    """
+    d, eps = config.spec.d, config.spec.epsilon
+    if not 0 < delta <= 2.0 / (d - 2):
+        raise ValueError("delta must lie in (0, 2/(d-2)]")
+    if config.is_lattice and eps ** delta >= 0.25:
+        raise ValueError(
+            f"epsilon={eps} too large for delta={delta}; "
+            f"the decomposition requires epsilon < {0.25 ** (1.0 / delta):.6g}")
+    a = config.hole_radii()
+    own = config.minimal_distances()
+    mask_j = a >= eps ** (1.0 + delta)
+    mask_k = np.zeros(len(config), dtype=bool)
+    mask_c = np.zeros(len(config), dtype=bool)
+    if not config.is_lattice:
+        mask_k = ~mask_j & (own <= eps ** 2)
+        mask_c = ~mask_j & ~mask_k & (2.0 * math.sqrt(d) * a >= own)
+    core = mask_j | mask_k | mask_c
+    mask_i = _contagion(config, np.flatnonzero(core), a, own) & ~core
+    bad_idx = np.flatnonzero(core | mask_i)
     return HolePartition(
         delta=delta,
-        good=np.flatnonzero(~bad_mask),
+        good=np.flatnonzero(~(core | mask_i)),
         bad_J=np.flatnonzero(mask_j),
         bad_K=np.flatnonzero(mask_k),
         bad_C=np.flatnonzero(mask_c),
         bad_I_tilde=np.flatnonzero(mask_i),
-        safety_centers=centers,
-        safety_radii=radii,
+        safety_centers=config.centers()[bad_idx],
+        safety_radii=2.0 * np.minimum(a[bad_idx], 1.0),
     )
 
 
-def lattice_epsilon_threshold(delta: float) -> float:
-    """Largest epsilon for which the lattice decomposition is valid (eps^delta < 1/4)."""
-    return 0.25 ** (1.0 / delta)
-
-
 def partition_lattice(config: MarkedConfiguration, delta: float) -> HolePartition:
-    d = config.spec.d
     if not config.is_lattice:
         raise ValueError("configuration is not lattice mode")
-    if not 0 < delta <= 2.0 / (d - 2):
-        raise ValueError("delta must lie in (0, 2/(d-2)]")
-    eps0 = lattice_epsilon_threshold(delta)
-    if config.spec.epsilon ** delta >= 0.25:
-        raise ValueError(
-            f"epsilon={config.spec.epsilon} too large for delta={delta}; "
-            f"the decomposition requires epsilon < {eps0:.6g}")
-    a, mj, mk, mc = _core_partition(config, delta, poisson=False)
-    mi = _contagion(config, np.flatnonzero(mj), a, poisson=False)
-    mi &= ~mj
-    return _assemble(config, delta, a, mj, mk, mc, mi)
+    return _classify(config, delta)
 
 
 def partition_poisson(config: MarkedConfiguration, delta: float) -> HolePartition:
-    d = config.spec.d
     if config.is_lattice:
         raise ValueError("configuration is not poisson mode")
-    if not 0 < delta <= 2.0 / (d - 2):
-        raise ValueError("delta must lie in (0, 2/(d-2)]")
-    a, mj, mk, mc = _core_partition(config, delta, poisson=True)
-    core = mj | mk | mc
-    mi = _contagion(config, np.flatnonzero(core), a, poisson=True)
-    mi &= ~core
-    return _assemble(config, delta, a, mj, mk, mc, mi)
+    return _classify(config, delta)
 
 
 def partition_configuration(config: MarkedConfiguration, delta: float) -> HolePartition:
@@ -241,17 +217,14 @@ def verify_partition(config: MarkedConfiguration, partition: HolePartition) -> P
     rep.add("good_hole_size", viol.size == 0,
             "" if viol.size == 0 else f"point {viol[0]} has hole {a[viol[0]]:.3g} > {thr:.3g}")
 
+    own = config.minimal_distances()
     if not config.is_lattice:
-        r = config.minimal_distances()
-        v1 = good[r[good] < eps ** 2] if good.size else np.empty(0, int)
+        v1 = good[own[good] < eps ** 2] if good.size else np.empty(0, int)
         rep.add("good_min_distance", v1.size == 0,
-                "" if v1.size == 0 else f"point {v1[0]} has R {r[v1[0]]:.3g} < eps^2")
-        v2 = good[2.0 * math.sqrt(d) * a[good] > r[good]] if good.size else np.empty(0, int)
+                "" if v1.size == 0 else f"point {v1[0]} has R {own[v1[0]]:.3g} < eps^2")
+        v2 = good[2.0 * math.sqrt(d) * a[good] > own[good]] if good.size else np.empty(0, int)
         rep.add("good_separation", v2.size == 0,
                 "" if v2.size == 0 else f"point {v2[0]} violates 2*sqrt(d)*a <= R")
-        own = r
-    else:
-        own = np.full(len(config), eps / 4.0)
 
     # protection balls of good points avoid every safety ball: one max-norm
     # query, widened by the largest good own radius, then the exact test

@@ -62,10 +62,6 @@ class Grid:
         lo, hi = domain.bounding_box(3)
         return Grid(n, tuple(lo), tuple(hi), domain)
 
-    @staticmethod
-    def from_box(lo, hi, n: int) -> "Grid":
-        return Grid(n, tuple(float(v) for v in lo), tuple(float(v) for v in hi), None)
-
     @property
     def h(self) -> float:
         return (self.hi[0] - self.lo[0]) / (self.n - 1)
@@ -270,8 +266,6 @@ def _deposit_spheres(flat: np.ndarray, n: int, lo, h, centers: np.ndarray,
 class GriddedMeasure:
     values: np.ndarray         # node weights (masses), shape (n, n, n)
     grid: Grid
-    atom_mass: float           # total deposited sphere charge
-    background_mass: float     # subtracted uniform (or cellwise) mass
     dropped_samples: int = 0
 
     @property
@@ -308,8 +302,7 @@ def deposit_measure(mu: CapacityMeasure, c0, grid: Grid,
     values -= background
     if dropped:
         logger.info("deposit: %d surface samples fell outside the grid box", dropped)
-    return GriddedMeasure(values, grid, atom_mass=float(mu.weights.sum()) if len(mu) else 0.0,
-                          background_mass=float(background.sum()), dropped_samples=dropped)
+    return GriddedMeasure(values, grid, dropped_samples=dropped)
 
 
 def hminus_norm(g: GriddedMeasure, grid: Grid, rtol: float = 1e-8) -> float:

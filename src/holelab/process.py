@@ -173,7 +173,12 @@ class MarkedConfiguration:
         return self._site_keys
 
     def minimal_distances(self) -> np.ndarray:
-        """Vector of minimal distances for every point (see minimal_distance)."""
+        """(eps/4) * min(distance to the nearest other point, 1) for every point.
+
+        Distance is the maximum norm over coordinates in the rescaled domain.
+        With no other point within distance one the cap is active and the
+        value is eps/4, which is also the lattice value everywhere.
+        """
         if self._min_dist is None:
             eps = self.spec.epsilon
             if self.is_lattice:
@@ -226,18 +231,6 @@ def sample_configuration(spec: ProcessSpec, replicate: int,
         pts = pts[:n]
     rho = spec.marks.quantile(gen.random(n))
     return MarkedConfiguration(spec, replicate, pts, rho)
-
-
-def minimal_distance(config: MarkedConfiguration, i: int) -> float:
-    """(eps/4) * min(distance to the nearest other point, 1) for point i.
-
-    Distance is the maximum norm over coordinates in the rescaled domain.
-    With no other point within distance one the cap is active and the value
-    is eps/4, which is also the lattice value everywhere.
-    """
-    if not 0 <= i < len(config):
-        raise IndexError("point index out of range")
-    return float(config.minimal_distances()[i])
 
 
 def thin_configuration(config: MarkedConfiguration, delta: float) -> np.ndarray:
@@ -298,20 +291,22 @@ def _min_cheb_dist(pts: np.ndarray, x: np.ndarray, exclude: int = -1) -> float:
     return float(d.min(initial=np.inf))
 
 
-def mecke_check(spec: ProcessSpec, functional: str, trials: int,
-                a_half_width: float = 0.5, trunc: float = 10.0) -> MeckeReport:
+def mecke_check(spec: ProcessSpec, functional: str, trials: int) -> MeckeReport:
     """Monte Carlo test of the exchange formula for Poisson configurations.
 
     Compares E[sum over points in the window A of G(point; rest)] with
-    lambda*|A|*E_rho[E[G((0, rho); fresh configuration)]].  The right-hand
-    side is closed-form for the first two functionals and estimated by an
-    independent second Monte Carlo for the neighbour-dependent one.
+    lambda*|A|*E_rho[E[G((0, rho); fresh configuration)]], where A is the
+    rescaled cube of half-width 1/2 and the truncated mark functional cuts
+    marks at 10.  The right-hand side is closed-form for the first two
+    functionals and estimated by an independent second Monte Carlo for the
+    neighbour-dependent one.
     """
     if spec.process != "poisson":
         raise ValueError("the exchange identity is specific to the poisson process")
     if functional not in MECKE_FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}; choose from {MECKE_FUNCTIONALS}")
     d, eps = spec.d, spec.epsilon
+    a_half_width, trunc = 0.5, 10.0
     window = spec.domain.radius / spec.epsilon
     if window < a_half_width + 1.0:
         raise ValueError("sampling window too small for an edge-free test region")

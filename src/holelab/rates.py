@@ -329,11 +329,6 @@ class EnsembleStat:
     def means(self) -> np.ndarray:
         return self.samples.mean(axis=1)
 
-    def sigmas(self) -> np.ndarray:
-        if self.replicates < 2:
-            return np.zeros(len(self.epsilon_grid))
-        return self.samples.std(axis=1, ddof=1) / math.sqrt(self.replicates)
-
     def csv_rows(self, spec: ProcessSpec):
         beta = spec.marks.beta_eff
         for eps, row in zip(self.epsilon_grid, self.samples.tolist()):
@@ -384,8 +379,8 @@ def evaluate_quantity(spec: ProcessSpec, quantity: str, replicate: int,
     field_ = CorrectorField.from_configuration(config, delta)
     mu = build_capacity_measure(field_)
     grid = Grid.from_domain(spec.domain, n)
-    g = deposit_measure(mu, c0_constant(spec), grid,
-                        min_radius_factor=params.get("min_radius_factor", 0.0))
+    # under-resolved spheres are deposited anyway: their charge is conserved
+    g = deposit_measure(mu, c0_constant(spec), grid, min_radius_factor=0.0)
     return hminus_norm(g, grid)
 
 
@@ -490,14 +485,13 @@ def check_fit_design(epsilon_grid, replicates: int) -> None:
 
 
 def fit_rate(stat: EnsembleStat, theo: Optional[TheoreticalExponents] = None,
-             target: Optional[float] = None, tolerance: float = 0.2,
-             bootstrap: int = 1000, seed: int = 7) -> RateFit:
+             target: Optional[float] = None, tolerance: float = 0.2) -> RateFit:
     """Fit the decay exponent of the ensemble means and compare to theory.
 
     Means are taken before logs.  Epsilons with nonpositive means are
     dropped with a warning; fewer than four surviving points refuses the
-    fit.  The confidence interval resamples replicates (jointly across
-    epsilons, matching the shared random numbers).
+    fit.  The confidence interval resamples replicates 1000 times (jointly
+    across epsilons, matching the shared random numbers) from a fixed seed.
     """
     check_fit_design(stat.epsilon_grid, stat.replicates)
     means = np.nanmean(stat.samples, axis=1)
@@ -511,10 +505,10 @@ def fit_rate(stat: EnsembleStat, theo: Optional[TheoreticalExponents] = None,
     eps_k, means_k = eps[keep], means[keep]
     slope, intercept, r2 = fit_loglog(eps_k, means_k)
 
-    rng = np.random.default_rng(seed)
-    slopes = np.empty(bootstrap)
+    rng = np.random.default_rng(7)
+    slopes = np.empty(1000)
     n_rep = stat.replicates
-    for b in range(bootstrap):
+    for b in range(slopes.size):
         sel = rng.integers(0, n_rep, size=n_rep)
         m = np.nanmean(stat.samples[:, sel], axis=1)[keep]
         if np.any(m <= 0):

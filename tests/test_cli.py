@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from holelab.cli import main
-from holelab.io_utils import read_field, write_field, write_json
+from holelab.io_utils import read_field, write_csv, write_field, write_json
 
 
 def run(args):
@@ -84,6 +84,22 @@ def test_outputs_get_the_umask_mode(tmp_path):
         os.umask(old)
     modes = [os.stat(tmp_path / name).st_mode & 0o777 for name in ("a.json", "b.json")]
     assert modes == [0o644, 0o644]
+
+
+def test_failed_csv_leaves_the_target_alone(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("old\n")
+
+    def rows():
+        for i in range(5000):
+            if i == 2500:
+                raise RuntimeError("row source failed")
+            yield (i, 0.5 * i)
+
+    with pytest.raises(RuntimeError):
+        write_csv(str(path), ["i", "x"], rows())
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["rows.csv"]
 
 
 def test_dry_run_writes_nothing(tmp_path, capsys):
@@ -165,6 +181,19 @@ def test_hminus_rtol_key_rejected(tmp_path, capsys):
     code = run(["hminus", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert code == 2
     assert "rtol" in capsys.readouterr().err
+    assert not (tmp_path / "hminus.csv").exists()
+
+
+def test_hminus_spec_key_rejected(tmp_path, capsys):
+    # the dual-norm geometry is fixed; a spec would be silently ignored
+    cfg = tmp_path / "c.json"
+    spec = {"d": 3, "epsilon": 0.125, "process": "poisson", "lambda": 1.0,
+            "marks": {"kind": "constant", "r": 1.0},
+            "domain": {"shape": "axis_cube", "half_width": 0.5}, "master_seed": 3}
+    cfg.write_text(json.dumps({"grid_n": 17, "spec": spec}))
+    code = run(["hminus", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "spec" in capsys.readouterr().err
     assert not (tmp_path / "hminus.csv").exists()
 
 

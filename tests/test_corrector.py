@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from scipy.spatial import cKDTree
+
 from holelab import (CorrectorField, DomainDescriptor, MarkDistribution,
                      ProcessSpec, annulus_capacity, annulus_capacity_fd,
                      build_capacity_measure, c0_constant, corrector_energy,
-                     corrector_eval, sample_configuration)
+                     sample_configuration)
 from holelab.corrector import capacity_normalization
 
 
@@ -55,6 +57,34 @@ def test_capacity_domain_errors():
 # ----------------------------------------------------------------------
 # corrector evaluation
 # ----------------------------------------------------------------------
+
+def corrector_eval(field: CorrectorField, x):
+    """Corrector value at one point or an (n, d) batch, cell by cell; the
+    pointwise reference for ``pde.corrector_on_grid``."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.ones(x.shape[0])
+    if len(field) == 0:
+        return out if out.size > 1 else float(out[0])
+    d = field.d
+    # cells are disjoint, so each evaluation point sees at most one of them
+    tree = cKDTree(field.centers)
+    r_max = float(field.outer.max())
+    hits = tree.query_ball_point(x, r_max)
+    for row, cand in enumerate(hits):
+        for k in cand:
+            r = float(np.linalg.norm(x[row] - field.centers[k]))
+            if r >= field.outer[k]:
+                continue
+            if r <= field.inner[k]:
+                out[row] = 0.0
+            else:
+                a2 = field.inner[k] ** (2.0 - d)
+                r2 = r ** (2.0 - d)
+                big2 = field.outer[k] ** (2.0 - d)
+                out[row] = (a2 - r2) / (a2 - big2)
+            break
+    return out if out.size > 1 else float(out[0])
+
 
 def field_one_cell(a=0.1, big=0.4):
     return CorrectorField(np.zeros((1, 3)), np.array([a]), np.array([big]), 3)

@@ -15,6 +15,7 @@ from holelab import pde
 from holelab.corrector import CapacityMeasure
 from holelab.pde import (Grid, GriddedMeasure, corrector_on_grid,
                          dirichlet_energy_central)
+from test_corrector import corrector_eval
 
 
 def unit_marks_config(eps, half=1.0, seed=0):
@@ -94,14 +95,14 @@ def test_deposit_resolvability_guard():
 
 def test_hminus_zero():
     grid = Grid.from_domain(DomainDescriptor("axis_cube", 1.0), 17)
-    g = GriddedMeasure(np.zeros(grid.shape), grid, 0.0, 0.0)
+    g = GriddedMeasure(np.zeros(grid.shape), grid)
     assert hminus_norm(g, grid) == 0.0
 
 
 def test_hminus_eigenfunction_closed_form():
-    grid = Grid.from_box((0, 0, 0), (1, 1, 1), 65)
+    grid = Grid(65, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     phi = eigenfunction(grid)
-    g = GriddedMeasure(3 * np.pi ** 2 * phi * grid.node_volumes(), grid, 0.0, 0.0)
+    g = GriddedMeasure(3 * np.pi ** 2 * phi * grid.node_volumes(), grid)
     exact = np.pi * math.sqrt(3.0 / 8.0)
     assert abs(hminus_norm(g, grid) - exact) / exact < 0.01
 
@@ -113,13 +114,13 @@ def test_hminus_norm_properties():
     for _ in range(3):
         f1 = rng.standard_normal(grid.shape) * vols
         f2 = rng.standard_normal(grid.shape) * vols
-        g1 = GriddedMeasure(f1, grid, 0.0, 0.0)
-        g2 = GriddedMeasure(f2, grid, 0.0, 0.0)
-        g12 = GriddedMeasure(f1 + f2, grid, 0.0, 0.0)
+        g1 = GriddedMeasure(f1, grid)
+        g2 = GriddedMeasure(f2, grid)
+        g12 = GriddedMeasure(f1 + f2, grid)
         n1, n2, n12 = (hminus_norm(g, grid) for g in (g1, g2, g12))
         assert n12 <= n1 + n2 + 1e-8 * (n1 + n2)
         s = 2.75
-        ns = hminus_norm(GriddedMeasure(s * f1, grid, 0.0, 0.0), grid)
+        ns = hminus_norm(GriddedMeasure(s * f1, grid), grid)
         assert ns == pytest.approx(s * n1, rel=1e-8)
 
 
@@ -130,7 +131,7 @@ def test_hminus_grid_convergence():
         ax = grid.axes()
         x, y, z = np.meshgrid(*ax, indexing="ij")
         dens = np.cos(0.5 * np.pi * x) * y * np.exp(z / 3.0)
-        g = GriddedMeasure(dens * grid.node_volumes(), grid, 0.0, 0.0)
+        g = GriddedMeasure(dens * grid.node_volumes(), grid)
         return hminus_norm(g, grid)
 
     a, b = norm_at(65), norm_at(97)
@@ -270,7 +271,7 @@ def test_homogenized_reduces_to_poisson():
 
 
 def test_homogenized_eigenfunction_identity():
-    grid = Grid.from_box((0, 0, 0), (1, 1, 1), 65)
+    grid = Grid(65, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     c0 = 7.0
     lam1 = 3 * np.pi ** 2
     phi = eigenfunction(grid)
@@ -298,7 +299,6 @@ def test_corrector_on_grid_matches_pointwise():
     fld = CorrectorField.from_configuration(config, delta=1.0)
     grid = Grid.from_domain(DomainDescriptor("axis_cube", 1.0), 33)
     w = corrector_on_grid(fld, grid)
-    from holelab import corrector_eval
     ax = grid.axes()
     rng = np.random.default_rng(1)
     for _ in range(40):
@@ -318,7 +318,7 @@ def test_homogenization_error_exact_zero():
 
 def test_homogenization_error_discretization_baseline():
     # hole-free solve against the sampled eigenfunction: only grid error
-    grid = Grid.from_box((0, 0, 0), (1, 1, 1), 65)
+    grid = Grid(65, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     lam1 = 3 * np.pi ** 2
     phi = eigenfunction(grid)
     u_h = homogenized_solve(0.0, lambda x, y, z: lam1 * eigenfunction(grid), grid)
@@ -421,7 +421,7 @@ def test_spectral_dirichlet_matches_cg():
     rng = np.random.default_rng(11)
     a_mat = reference_stiffness(active, grid.h)
     # dual norm: one preconditioned step against b . A^-1 b by a direct solve
-    g = GriddedMeasure(rng.standard_normal(grid.shape), grid, 0.0, 0.0)
+    g = GriddedMeasure(rng.standard_normal(grid.shape), grid)
     b = g.values[active]
     energy = float(b @ spsolve(a_mat.tocsc(), b))
     assert hminus_norm(g, grid) ** 2 == pytest.approx(energy, rel=1e-12)
@@ -521,7 +521,7 @@ def test_dct_neumann_matches_kronecker_pseudoinverse():
            + np.kron(np.kron(eye, eye), path))
     lap_pinv = np.linalg.pinv(lap, hermitian=True)
     for j, c in enumerate(cells):
-        local = Grid.from_box(cov.lo[c], cov.hi[c], m)
+        local = Grid(m, tuple(cov.lo[c]), tuple(cov.hi[c]))
         atoms = slice(5 * j, 5 * j + 5)
         cell_mu = CapacityMeasure(mu.centers[atoms], mu.sphere_radii[atoms],
                                   mu.weights[atoms], 3)
@@ -534,7 +534,7 @@ def test_dct_neumann_matches_kronecker_pseudoinverse():
 def test_grid_without_interior_nodes():
     # n = 2 leaves no unknowns: nothing to transform, zero potential
     grid = Grid.from_domain(DomainDescriptor("axis_cube", 1.0), 2)
-    assert hminus_norm(GriddedMeasure(np.ones(grid.shape), grid, 0.0, 0.0), grid) == 0.0
+    assert hminus_norm(GriddedMeasure(np.ones(grid.shape), grid), grid) == 0.0
     assert np.all(homogenized_solve(1.0, 1.0, grid) == 0.0)
 
 
@@ -550,8 +550,8 @@ def test_ball_dual_norm_at_most_cube():
     rng = np.random.default_rng(8)
     for _ in range(3):
         values = rng.standard_normal(cube.shape) * cube.h ** 3
-        n_ball = hminus_norm(GriddedMeasure(values, ball, 0.0, 0.0), ball)
-        n_cube = hminus_norm(GriddedMeasure(values, cube, 0.0, 0.0), cube)
+        n_ball = hminus_norm(GriddedMeasure(values, ball), ball)
+        n_cube = hminus_norm(GriddedMeasure(values, cube), cube)
         assert 0.0 < n_ball <= n_cube
 
 

@@ -1,10 +1,13 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import holelab
 from holelab import (DomainDescriptor, MarkDistribution, ProcessSpec,
-                     ResourceLimitError, SpatialIndex, mecke_check, minimal_distance, sample_configuration,
+                     ResourceLimitError, SpatialIndex, mecke_check, sample_configuration,
                      thin_configuration)
 
 
@@ -105,7 +108,7 @@ def test_spec_json_roundtrip():
 def test_minimal_distance_lattice():
     config = sample_configuration(cube_spec(epsilon=0.1), 0)
     for i in (0, 17, len(config) - 1):
-        assert minimal_distance(config, i) == pytest.approx(0.1 / 4)
+        assert config.minimal_distances()[i] == pytest.approx(0.1 / 4)
 
 
 @pytest.mark.parametrize("domain, eps", [
@@ -132,11 +135,11 @@ def test_minimal_distance_pair_and_cap():
     config.points = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
     config.rho = np.ones(2)
     config._index = config._min_dist = None
-    assert minimal_distance(config, 0) == pytest.approx(0.1 / 4 * 0.5)
+    assert config.minimal_distances()[0] == pytest.approx(0.1 / 4 * 0.5)
     # far pair: the cap at one is active
     config.points = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     config._index = config._min_dist = None
-    assert minimal_distance(config, 0) == pytest.approx(0.1 / 4)
+    assert config.minimal_distances()[0] == pytest.approx(0.1 / 4)
 
 
 def test_minimal_distance_single_point():
@@ -145,7 +148,7 @@ def test_minimal_distance_single_point():
     config.points = np.zeros((1, 3))
     config.rho = np.ones(1)
     config._index = config._min_dist = None
-    assert minimal_distance(config, 0) == pytest.approx(0.1 / 4)
+    assert config.minimal_distances()[0] == pytest.approx(0.1 / 4)
 
 
 def test_thinning_keeps_all_small_unit_marks():
@@ -222,6 +225,14 @@ def test_spatial_index_closed_ball_on_integer_lattice():
     c, k = index.query(np.array([[2.0, 2.0, 2.0]]), 1.0)
     assert k.size == 27 and np.all(c == 0)
     assert np.all(index.nearest_neighbor_distances(cap=1.0) == 1.0)
+
+
+def test_one_neighbour_search_in_the_package():
+    # every neighbour query of the package goes through index.SpatialIndex
+    src = Path(holelab.__file__).parent
+    users = [path.name for path in sorted(src.glob("*.py"))
+             if re.search(r"scipy\.spatial|cKDTree", path.read_text())]
+    assert users == ["index.py"]
 
 
 def test_nearest_neighbor_matches_bruteforce_100_seeds():
