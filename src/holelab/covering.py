@@ -262,12 +262,14 @@ def build_random_covering(config: MarkedConfiguration, k: int,
                          inc_cell=inc_cell, inc_point=inc_point,
                          inc_overlap=inc_overlap, inc_own=inc_own)
     lo_b, hi_b = volume_bounds(k, eps, kappa, d)
-    live = base.meets_domain
-    if np.any(volumes[live] < lo_b - 1e-12) or np.any(volumes[live] > hi_b + 1e-12):
-        worst = int(np.argmin(volumes[live]))
+    live = np.flatnonzero(base.meets_domain)
+    v = volumes[live]
+    if np.any(v < lo_b - 1e-12) or np.any(v > hi_b + 1e-12):
+        # the live cell farthest outside the bounds
+        worst = int(live[np.argmax(np.maximum(lo_b - v, v - hi_b))])
         raise RuntimeError(
-            f"cell volume outside [(k-eps^kappa)^d, (k+eps^kappa)^d] eps^d: "
-            f"{volumes[live][worst]:.6g} vs [{lo_b:.6g}, {hi_b:.6g}]")
+            f"cell {worst} volume outside [(k-eps^kappa)^d, (k+eps^kappa)^d] eps^d: "
+            f"{volumes[worst]:.6g} vs [{lo_b:.6g}, {hi_b:.6g}]")
     return cov
 
 

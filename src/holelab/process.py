@@ -78,6 +78,9 @@ class ProcessSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "ProcessSpec":
+        missing = [k for k in ("d", "epsilon", "process", "marks") if k not in obj]
+        if missing:
+            raise ValueError(f"spec is missing required key(s): {', '.join(missing)}")
         d = int(obj["d"])
         return ProcessSpec(
             d=d,
@@ -94,15 +97,17 @@ class MarkedConfiguration:
     """One sampled realization: rescaled centres and marks."""
 
     def __init__(self, spec: ProcessSpec, replicate: int, points: np.ndarray,
-                 rho: np.ndarray, lattice_coords: Optional[np.ndarray] = None):
+                 rho: np.ndarray, lattice_coords: Optional[np.ndarray] = None,
+                 site_keys: Optional[np.ndarray] = None):
         self.spec = spec
         self.replicate = replicate
         self.points = points
         self.rho = rho
         self.lattice_coords = lattice_coords
+        # row-major keys of lattice_coords in [-m, m]^d, strictly increasing
+        self.site_keys = site_keys
         self._index: Optional[SpatialIndex] = None
         self._min_dist: Optional[np.ndarray] = None
-        self._site_keys: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -140,7 +145,7 @@ class MarkedConfiguration:
         if not self.is_lattice:
             return self.index.query(self.points[idx], reach)
         m = int(math.floor(self.spec.domain.radius / self.spec.epsilon))
-        keys = self._lattice_keys(m)
+        keys = self.site_keys
         half = np.floor(reach).astype(np.int64)[:, None]
         lo = np.maximum(self.lattice_coords[idx] - half, -m)
         ext = np.maximum(np.minimum(self.lattice_coords[idx] + half, m) - lo + 1, 0)
@@ -160,17 +165,6 @@ class MarkedConfiguration:
         j = np.minimum(np.searchsorted(keys, key), keys.size - 1)
         found = keys[j] == key
         return c[found], j[found]
-
-    def _lattice_keys(self, m: int) -> np.ndarray:
-        """Row-major keys of ``lattice_coords`` in [-m, m]^d, strictly
-        increasing as the sampler emits the sites."""
-        if self._site_keys is None:
-            keys = np.ravel_multi_index(tuple((self.lattice_coords + m).T),
-                                        (2 * m + 1,) * self.spec.d)
-            if np.any(np.diff(keys) <= 0):
-                raise ValueError("lattice sites are not in increasing row-major order")
-            self._site_keys = keys
-        return self._site_keys
 
     def minimal_distances(self) -> np.ndarray:
         """(eps/4) * min(distance to the nearest other point, 1) for every point.
@@ -209,12 +203,13 @@ def sample_configuration(spec: ProcessSpec, replicate: int,
         axes = [np.arange(-m, m + 1, dtype=np.int64)] * spec.d
         grids = np.meshgrid(*axes, indexing="ij")
         coords = np.stack([g.ravel() for g in grids], axis=1)
+        u = coordinate_uniforms(spec.master_seed, replicate, np.ix_(*axes)).ravel()
+        keys = np.arange(coords.shape[0])
         if spec.domain.shape != "axis_cube":
             keep = spec.domain.contains(spec.epsilon * coords.astype(float))
-            coords = coords[keep]
-        u = coordinate_uniforms(spec.master_seed, replicate, coords)
+            coords, u, keys = coords[keep], u[keep], np.flatnonzero(keep)
         rho = spec.marks.quantile(u)
-        return MarkedConfiguration(spec, replicate, coords.astype(float), rho, coords)
+        return MarkedConfiguration(spec, replicate, coords.astype(float), rho, coords, keys)
 
     gen = replicate_generator(spec.master_seed, replicate)
     mean = spec.intensity * spec.domain.volume(spec.d) / spec.epsilon ** spec.d

@@ -505,16 +505,13 @@ def fit_rate(stat: EnsembleStat, theo: Optional[TheoreticalExponents] = None,
     eps_k, means_k = eps[keep], means[keep]
     slope, intercept, r2 = fit_loglog(eps_k, means_k)
 
-    rng = np.random.default_rng(7)
-    slopes = np.empty(1000)
+    # draws with a mean <= 0 are fitted to a dummy value, then set to NaN
     n_rep = stat.replicates
-    for b in range(slopes.size):
-        sel = rng.integers(0, n_rep, size=n_rep)
-        m = np.nanmean(stat.samples[:, sel], axis=1)[keep]
-        if np.any(m <= 0):
-            slopes[b] = np.nan
-            continue
-        slopes[b], _, _ = fit_loglog(eps_k, m)
+    sel = np.random.default_rng(7).integers(0, n_rep, size=(1000, n_rep))
+    m = np.nanmean(stat.samples[:, sel], axis=2)[keep]
+    fits = np.all(m > 0, axis=0)
+    slopes = np.polyfit(np.log(eps_k), np.log(np.where(fits, m, 1.0)), 1)[0]
+    slopes[~fits] = np.nan
     good = slopes[~np.isnan(slopes)]
     if good.size:
         ci = (float(np.percentile(good, 2.5)), float(np.percentile(good, 97.5)))

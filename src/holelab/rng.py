@@ -48,17 +48,20 @@ def replicate_generator(master_seed: int, replicate: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(key=stream_key(master_seed, replicate)))
 
 
-def coordinate_uniforms(master_seed: int, replicate: int, coords: np.ndarray) -> np.ndarray:
+def coordinate_uniforms(master_seed: int, replicate: int, coords) -> np.ndarray:
     """Uniform[0,1) per integer coordinate row, independent of row order.
 
-    ``coords`` is an (n, d) integer array; the output depends only on the
-    key and the coordinate values, never on the enumeration order.
+    ``coords`` is an (n, d) integer array, or a tuple of d broadcastable
+    integer arrays, one per axis, such as ``np.ix_(*axes)``.  The output
+    then has their broadcast shape, and each hash round runs once per
+    distinct leading coordinates, so only the last runs on every site.
+    Either way a value depends only on the key and its coordinates, never
+    on the enumeration order.
     """
-    coords = np.asarray(coords)
-    key = _U64(stream_key(master_seed, replicate))
-    h = np.full(coords.shape[0], key, dtype=np.uint64)
+    cols = coords if isinstance(coords, tuple) else np.asarray(coords).T
+    h = _U64(stream_key(master_seed, replicate))
     with np.errstate(over="ignore"):
-        for axis in range(coords.shape[1]):
-            col = np.ascontiguousarray(coords[:, axis], dtype=np.int64).view(np.uint64)
+        for axis, col in enumerate(cols):
+            col = np.ascontiguousarray(col, dtype=np.int64).view(np.uint64)
             h = _splitmix64(h ^ (col * _AXIS_SALT[axis % len(_AXIS_SALT)]))
     return (h >> _U64(11)).astype(np.float64) * _INV53

@@ -197,6 +197,21 @@ def test_hminus_spec_key_rejected(tmp_path, capsys):
     assert not (tmp_path / "hminus.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["d", "epsilon", "process", "marks"])
+def test_spec_missing_key_is_a_config_error(key, tmp_path, capsys):
+    spec = {"d": 3, "epsilon": 0.125, "process": "lattice",
+            "marks": {"kind": "constant", "r": 1.0}}
+    del spec[key]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"spec": spec}))
+    out = tmp_path / "out"
+    code = run(["sample", "--config", str(cfg), "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: spec is missing required key(s): {key}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_trials_flag_overrides_config(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,6 +262,18 @@ def test_random_covering_bounds_and_dichotomy():
         lo_b, hi_b = volume_bounds(3, 1 / 16, cov.kappa, 3)
         live = cov.base.meets_domain
         assert np.all(cov.volumes[live] >= lo_b) and np.all(cov.volumes[live] <= hi_b)
+
+
+def test_volume_error_reports_the_cell_farthest_outside():
+    marks = MarkDistribution.pareto_for_beta(3, 0.5)
+    config = sample_configuration(spec_for(eps=1 / 8, marks=marks, seed=1), 0)
+    with pytest.raises(RuntimeError, match="volume outside") as err:
+        build_random_covering(config, 2, 0.8)
+    message = str(err.value)
+    volume, lo_b, hi_b = map(float, re.search(r": (\S+) vs \[(\S+), (\S+)\]", message).groups())
+    assert not lo_b <= volume <= hi_b, message
+    cell = int(re.search(r"cell (\d+) volume", message).group(1))
+    assert build_cube_covering(config, 2).meets_domain[cell]
 
 
 def montecarlo_cell_volume(cov, cell: int, rng: np.random.Generator,

@@ -422,13 +422,15 @@ def test_lattice_neighbours_match_tree(shape, eps):
     assert c.size == j.size == 0
 
 
-def test_lattice_neighbours_refuse_unordered_sites():
-    config = sample_configuration(lattice_spec_for("axis_cube", 1 / 8), 0)
-    order = np.random.default_rng(0).permutation(len(config))
-    config.points, config.rho = config.points[order], config.rho[order]
-    config.lattice_coords = config.lattice_coords[order]
-    with pytest.raises(ValueError, match="increasing"):
-        config.neighbours(np.array([0]), np.array([1.0]))
+@pytest.mark.parametrize("shape", ["axis_cube", "unit_ball"])
+@pytest.mark.parametrize("eps", [1 / 8, 1 / 16], ids=["1/8", "1/16"])
+def test_lattice_site_keys_are_row_major(shape, eps):
+    # neighbours() searches these keys, which the sampler hands over
+    config = sample_configuration(lattice_spec_for(shape, eps), 0)
+    m = int(round(1 / eps))
+    want = np.ravel_multi_index(tuple((config.lattice_coords + m).T), (2 * m + 1,) * 3)
+    assert np.array_equal(config.site_keys, want)
+    assert np.all(np.diff(config.site_keys) > 0)
 
 
 def lattice_results(config, delta):

@@ -9,6 +9,7 @@ import holelab
 from holelab import (DomainDescriptor, MarkDistribution, ProcessSpec,
                      ResourceLimitError, SpatialIndex, mecke_check, sample_configuration,
                      thin_configuration)
+from holelab.rng import coordinate_uniforms
 
 
 def cube_spec(process="lattice", epsilon=0.25, marks=None, half=1.0, lam=None, seed=0, d=3):
@@ -86,6 +87,52 @@ def test_lattice_marks_shared_across_epsilon():
     i1 = np.flatnonzero(np.all(c1.points.astype(int) == site, axis=1))[0]
     i2 = np.flatnonzero(np.all(c2.points.astype(int) == site, axis=1))[0]
     assert c1.rho[i1] == c2.rho[i2]
+
+
+def box_rows(axes):
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("m", [0, 1, 8, 64])
+def test_coordinate_uniforms_on_axes_match_rows(d, m):
+    axes = [np.arange(-m, m + 1, dtype=np.int64)] * d
+    if (2 * m + 1) ** d > 3 * 10 ** 6:
+        # the full 4-d box would take 2.2 GB per array; any axis values
+        # hash the same, so take a random sub-box that keeps both faces
+        rng = np.random.default_rng(m)
+        axes = [np.unique(np.concatenate([[-m, m], rng.integers(-m, m + 1, 10)]))
+                for _ in range(d)]
+    rows = box_rows(axes)
+    got = coordinate_uniforms(5, 2, np.ix_(*axes))
+    assert got.shape == tuple(a.size for a in axes)
+    got = got.ravel()
+    want = coordinate_uniforms(5, 2, rows)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the unit_ball sampler filters the box hash with the sites it keeps
+    keep = DomainDescriptor("unit_ball").contains(rows / max(m, 1))
+    want = coordinate_uniforms(5, 2, rows[keep])
+    assert np.array_equal(got[keep].view(np.uint64), want.view(np.uint64))
+
+
+def test_coordinate_uniforms_pinned_bits():
+    # every seeded lattice result hangs on these values
+    u = coordinate_uniforms(5, 2, np.array([[0, 0, 0], [3, -2, 1], [-64, 64, 7]]))
+    assert u.view(np.uint64).tolist() == [0x3FE104396D373FDB, 0x3FB7FCFF14FB0590,
+                                          0x3FE9CA311F5EBD20]
+    u = coordinate_uniforms(0, 0, np.array([[1, 2, 3, 4]]))
+    assert u.view(np.uint64).tolist() == [0x3FDA32E38F7882B8]
+
+
+@pytest.mark.parametrize("domain", ["axis_cube", "unit_ball"])
+def test_lattice_marks_hash_their_site(domain):
+    marks = MarkDistribution.pareto_for_beta(3, 0.5)
+    spec = ProcessSpec(d=3, epsilon=1 / 8, process="lattice", marks=marks,
+                       domain=DomainDescriptor(domain), master_seed=5)
+    config = sample_configuration(spec, 2)
+    u = coordinate_uniforms(5, 2, config.lattice_coords)
+    assert np.array_equal(config.rho, marks.quantile(u))
 
 
 def test_memory_cap_refuses():

@@ -262,6 +262,56 @@ def test_fit_refuses_nonpositive():
         fit_rate(stat, target=0.0)
 
 
+def bootstrap_per_draw(stat):
+    """The per-draw bootstrap loop, kept here as the reference."""
+    means = np.nanmean(stat.samples, axis=1)
+    keep = means > 0
+    eps_k = np.asarray(stat.epsilon_grid, dtype=float)[keep]
+    rng = np.random.default_rng(7)
+    slopes = np.empty(1000)
+    for b in range(slopes.size):
+        sel = rng.integers(0, stat.replicates, size=stat.replicates)
+        m = np.nanmean(stat.samples[:, sel], axis=1)[keep]
+        slopes[b] = np.nan if np.any(m <= 0) else fit_loglog(eps_k, m)[0]
+    return slopes
+
+
+@pytest.mark.parametrize("n_rep", [1, 30, 45])
+@pytest.mark.parametrize("n_fit", [4, 5, 7, 8, 12])
+def test_bootstrap_matches_per_draw_fits(n_fit, n_rep, monkeypatch):
+    rng = np.random.default_rng(100 * n_fit + n_rep)
+    eps = 1.0 / np.arange(8, 8 + 4 * (n_fit + 1), 4)
+    samples = eps[:, None] ** 0.6 * np.exp(rng.normal(0.0, 0.5, (eps.size, n_rep)))
+    samples[-1] -= 2.0 * samples[-1].mean()          # nonpositive mean: dropped
+    if n_rep > 1:
+        # a kept epsilon whose resampled mean is often <= 0, and NaN replicates
+        samples[1] -= samples[1].mean() - 0.1 * samples[1].std()
+        samples[2:, 0] = samples[0, 1] = np.nan
+    stat = EnsembleStat("bad_capacity", list(eps), n_rep, samples, {})
+    want = bootstrap_per_draw(stat)
+    seen = []
+    percentile = np.percentile
+    monkeypatch.setattr(np, "percentile",
+                        lambda a, q: seen.append(np.array(a)) or percentile(a, q))
+    fit = fit_rate(stat)
+    good = want[~np.isnan(want)]
+    if n_rep > 1:
+        assert 0 < good.size < want.size
+    assert len(fit.used_epsilons) == n_fit
+    assert (fit.slope, fit.intercept, fit.r2) == fit_loglog(eps[:-1], np.nanmean(samples, axis=1)[:-1])
+    ci = (float(percentile(good, 2.5)), float(percentile(good, 97.5)))
+    ci = (min(ci[0], fit.slope), max(ci[1], fit.slope))
+    if n_fit < 8:
+        assert np.array_equal(seen[0], good)
+        assert fit.ci == ci
+    else:
+        # OpenBLAS solves several right-hand sides in another summation
+        # order than one, here from eight points on: a few ulps apart
+        assert seen[0].shape == good.shape
+        assert np.allclose(seen[0], good, rtol=1e-12, atol=0)
+        assert np.allclose(fit.ci, ci, rtol=1e-12, atol=0)
+
+
 def test_ensemble_reproducible_and_csv():
     marks = MarkDistribution.pareto_for_beta(3, 0.5)
     spec = spec_for(eps=1 / 8, marks=marks, half=0.5)
