@@ -20,12 +20,8 @@ from . import __version__
 from .corrector import CorrectorField, build_capacity_measure, c0_constant, corrector_energy
 from .covering import (build_cube_covering, build_random_covering,
                        mesoscale_parameters, verify_random_covering)
-from .experiments import (bad_capacity_experiment, desk_solve_comparison,
-                          exponent_table, mecke_spec, overlap_experiment,
-                          periodic_hminus_rate, surrogate_rate_experiment,
-                          variance_scaling_experiment)
+from .experiments import exponent_table, mecke_spec, periodic_hminus_rate
 from .io_utils import write_csv, write_field, write_json
-from .marks import MarkDistribution
 from .partition import partition_configuration, verify_partition
 from .pde import Grid, homogenization_error, homogenized_solve, solve_perforated
 from .process import MECKE_FUNCTIONALS, ProcessSpec, mecke_check, sample_configuration
@@ -162,6 +158,8 @@ def _cmd_covering(args, cfg):
     rep = cfg.get("replicate", 0)
     k = cfg.get("k") or mesoscale_parameters(spec.d, spec.epsilon)[0]
     randomized = cfg.get("random", spec.process == "poisson")
+    if randomized and spec.process == "lattice":
+        raise ConfigError('"random": true needs a poisson spec; lattice sites use the cube tiling')
     if args.dry_run:
         return 0, f"covering: would tile with k={k} (randomized={randomized})"
     config = sample_configuration(spec, rep)

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .io_utils import column_rows
-from .marks import MarkDistribution
 from .process import MarkedConfiguration, ProcessSpec, thin_configuration
 
 
@@ -108,7 +107,7 @@ class CorrectorField:
             return CorrectorField.empty(config.spec.d)
         a = config.hole_radii()[idx]
         big_r = config.minimal_distances()[idx]
-        return CorrectorField(config.centers()[idx], a, big_r, config.spec.d)
+        return CorrectorField(config.centers(idx), a, big_r, config.spec.d)
 
 
 def corrector_energy(field: CorrectorField) -> float:

@@ -12,7 +12,7 @@ which keeps all cell volumes within (k +- eps^kappa)^d eps^d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -72,7 +72,9 @@ class CubeCovering:
 
         Points on a shared face belong to the smaller-anchor tile; the small
         tolerance makes that deterministic when the face coordinate is not
-        exactly representable (lattice sites routinely sit on faces).
+        exactly representable (lattice sites routinely sit on faces).  Lattice
+        coverings evaluate the same expression per axis, on the 2m+1 axis
+        values, in ``build_cube_covering``.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         t = x / self.cell_size + self.shift
@@ -96,10 +98,9 @@ def build_cube_covering(config: MarkedConfiguration, k: int) -> CubeCovering:
     d, eps = spec.d, spec.epsilon
     if k < 1:
         raise ValueError("k must be >= 1")
-    s = k * eps
-    if s > spec.domain.radius:
+    s, w = k * eps, spec.domain.radius
+    if s > w:
         raise ValueError(f"cell size k*eps = {s} exceeds the domain scale")
-    w = spec.domain.radius
     shift = 0.0 if k % 2 == 0 else 0.5
     # per-axis tile indices whose open tile meets (-w, w)
     m_min = math.floor(-w / s - 1 + shift) + 1
@@ -108,20 +109,25 @@ def build_cube_covering(config: MarkedConfiguration, k: int) -> CubeCovering:
     m_lo = np.full(d, m_min, dtype=np.int64)
     m_count = np.full(d, rng.size, dtype=np.int64)
 
-    grids = np.meshgrid(*([rng] * d), indexing="ij")
-    m = np.stack([g.ravel() for g in grids], axis=1)
+    m = np.stack(np.meshgrid(*([rng] * d), indexing="ij"), axis=-1).reshape(-1, d)
     lo = s * (m - shift)
     hi = lo + s
-    if k % 2 == 0:
-        anchors = k * m + k // 2
-    else:
-        anchors = k * m
     cov = CubeCovering(k=k, epsilon=eps, m_lo=m_lo, m_count=m_count,
-                       anchors=anchors, lo=lo, hi=hi,
+                       anchors=k * m + (0 if k % 2 else k // 2), lo=lo, hi=hi,
                        interior=spec.domain.inner_margin(lo, hi, eps),
                        meets_domain=spec.domain.box_intersects(lo, hi),
                        point_cell=np.empty(0, dtype=np.int64))
-    cov.point_cell = cov.cell_of_points(config.centers())
+    if config.is_lattice:
+        # cell_of_points on the 2m+1 axis values, clipped as mode="clip"
+        # does, raveled by outer sums and gathered by site key
+        t = eps * np.arange(-config.m, config.m + 1.0) / s + shift
+        axis = np.clip(np.ceil(t - 1e-9).astype(np.int64) - 1 - m_min, 0, rng.size - 1)
+        cells = np.zeros(1, dtype=np.int64)
+        for _ in range(d):
+            cells = np.add.outer(cells * rng.size, axis).ravel()
+        cov.point_cell = cells if cells.size == len(config) else cells[config.site_keys]
+    else:
+        cov.point_cell = cov.cell_of_points(config.centers())
     return cov
 
 
@@ -139,7 +145,7 @@ def trimmed_min_distances(config: MarkedConfiguration, covering: CubeCovering,
     order, so a tie at the shell edges resolves to the smaller cap.
     """
     eps = config.spec.epsilon
-    x = config.centers()[np.asarray(idx)]
+    x = config.centers(np.asarray(idx))
     cells = covering.point_cell[np.asarray(idx)]
     lo = covering.lo[cells]
     hi = covering.hi[cells]
@@ -197,7 +203,7 @@ def build_random_covering(config: MarkedConfiguration, k: int,
     base = build_cube_covering(config, k)
     thinned = thin_configuration(config, delta)
     tr = trimmed_min_distances(config, base, thinned, kappa)
-    x = config.centers()[thinned]
+    x = config.centers(thinned)
     half = 2.0 * tr
     cube_lo = x - half[:, None]
     cube_hi = x + half[:, None]

@@ -7,8 +7,7 @@ quantitative target exists.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,8 +19,7 @@ from .covering import build_random_covering, mesoscale_parameters, verify_random
 from .domain import DomainDescriptor
 from .marks import MarkDistribution
 from .pde import Grid, homogenization_error, homogenized_solve, solve_perforated
-from .process import MECKE_FUNCTIONALS, MarkedConfiguration, ProcessSpec, \
-    mecke_check, sample_configuration, thin_configuration
+from .process import MECKE_FUNCTIONALS, ProcessSpec, mecke_check, sample_configuration
 from .rates import (EnsembleStat, RateFit, ensemble_run, expected_overlap_pairs,
                     fit_loglog, fit_rate, theoretical_exponents)
 

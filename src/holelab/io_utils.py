@@ -87,11 +87,3 @@ def write_field(path: str, values: np.ndarray, h: float) -> None:
     values = np.asarray(values, dtype=np.float64)
     header = struct.pack("<qdq", values.shape[0], float(h), values.ndim)
     atomic_write_bytes(path, header + values.tobytes(order="C"))
-
-
-def read_field(path: str):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    n, h, d = struct.unpack_from("<qdq", raw)
-    values = np.frombuffer(raw, dtype=np.float64, offset=24)
-    return values.reshape((n,) * d), h

@@ -48,14 +48,13 @@ def _contagion(config: MarkedConfiguration, core: np.ndarray, a: np.ndarray,
         return np.zeros(len(config), dtype=bool)
     hit = np.zeros(len(config), dtype=bool)
     trunc = np.minimum(a, 1.0)
-    pts = config.points
     # rescaled reach: own radius is at most eps/4
     reach = 0.25 + 2.0 * trunc[core] / eps
     c, cand = config.neighbours(core, reach + 1e-12)
     w = core[c]
     keep = cand != w
     w, cand = w[keep], cand[keep]
-    diff = pts[cand] - pts[w]
+    diff = config.rescaled(cand) - config.rescaled(w)
     dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
     hit[cand[dist <= own[cand] + 2.0 * trunc[w]]] = True
     return hit
@@ -77,8 +76,7 @@ def _classify(config: MarkedConfiguration, delta: float) -> HolePartition:
     a = config.hole_radii()
     own = config.minimal_distances()
     mask_j = a >= eps ** (1.0 + delta)
-    mask_k = np.zeros(len(config), dtype=bool)
-    mask_c = np.zeros(len(config), dtype=bool)
+    mask_k = mask_c = np.zeros(len(config), dtype=bool)
     if not config.is_lattice:
         mask_k = ~mask_j & (own <= eps ** 2)
         mask_c = ~mask_j & ~mask_k & (2.0 * math.sqrt(d) * a >= own)
@@ -92,7 +90,7 @@ def _classify(config: MarkedConfiguration, delta: float) -> HolePartition:
         bad_K=np.flatnonzero(mask_k),
         bad_C=np.flatnonzero(mask_c),
         bad_I_tilde=np.flatnonzero(mask_i),
-        safety_centers=config.centers()[bad_idx],
+        safety_centers=config.centers(bad_idx),
         safety_radii=2.0 * np.minimum(a[bad_idx], 1.0),
     )
 
@@ -138,7 +136,6 @@ def overlap_pairs(config: MarkedConfiguration) -> int:
         return 0
     a = config.hole_radii(truncate=True)
     rescaled = a / eps
-    pts = config.points
     b0 = 0.25
     big = np.flatnonzero(rescaled > b0)
     small = rescaled <= b0
@@ -146,17 +143,13 @@ def overlap_pairs(config: MarkedConfiguration) -> int:
     count = 0
     # small-small pairs need rescaled separation below 2*b0; lattice points
     # are at least unit distance apart, so only the poisson branch scans
-    if config.is_lattice:
-        i = j = np.empty(0, dtype=np.int64)
-    else:
+    if not config.is_lattice:
         i, j = config.index.close_pairs(2.0 * b0)
-    if i.size:
         keep = small[i] & small[j]
         i, j = i[keep], j[keep]
-        if i.size:
-            diff = pts[i] - pts[j]
-            dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            count += int(np.count_nonzero(dist < a[i] + a[j]))
+        diff = config.rescaled(i) - config.rescaled(j)
+        dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        count += int(np.count_nonzero(dist < a[i] + a[j]))
 
     if big.size == 0:
         return count
@@ -165,7 +158,7 @@ def overlap_pairs(config: MarkedConfiguration) -> int:
     b = big[c]
     keep = k != b
     b, k = b[keep], k[keep]
-    diff = pts[k] - pts[b]
+    diff = config.rescaled(k) - config.rescaled(b)
     dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
     hit = dist < a[b] + a[k]
     # a pair of two big holes is found from both ends; count it once
@@ -230,7 +223,6 @@ def verify_partition(config: MarkedConfiguration, partition: HolePartition) -> P
     # query, widened by the largest good own radius, then the exact test
     ok = True
     detail = ""
-    centers = config.centers()
     if good.size and partition.safety_radii.size:
         reach = (partition.safety_radii + own[good].max()) / eps * (1.0 + 1e-9)
         w, g = config.index.query(partition.safety_centers / eps, reach)
@@ -238,7 +230,7 @@ def verify_partition(config: MarkedConfiguration, partition: HolePartition) -> P
         np.minimum.at(pos, good, np.arange(good.size))
         keep = pos[g] < good.size
         w, g = w[keep], g[keep]
-        diff = centers[g] - partition.safety_centers[w]
+        diff = config.centers(g) - partition.safety_centers[w]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         hit = dist < own[g] + partition.safety_radii[w] - 1e-12
         if np.any(hit):
@@ -248,10 +240,7 @@ def verify_partition(config: MarkedConfiguration, partition: HolePartition) -> P
     rep.add("good_avoids_bad_region", ok, detail)
 
     # the safety region stays within distance 2 of the domain
-    if partition.safety_radii.size:
-        ok2 = bool(np.all(partition.safety_radii <= 2.0 + 1e-12))
-    else:
-        ok2 = True
+    ok2 = bool(np.all(partition.safety_radii <= 2.0 + 1e-12))
     rep.add("bad_region_near_domain", ok2, "" if ok2 else "a safety ball has radius > 2")
 
     # good holes are pairwise disjoint balls
@@ -263,7 +252,7 @@ def verify_partition(config: MarkedConfiguration, partition: HolePartition) -> P
         keep = np.isin(i, good) & np.isin(j, good)
         i, j = i[keep], j[keep]
         if i.size:
-            diff = centers[i] - centers[j]
+            diff = config.centers(i) - config.centers(j)
             dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
             overlap = dist < trunc[i] + trunc[j] - 1e-12
             if np.any(overlap):

@@ -3,6 +3,8 @@
 A configuration is a finite set of points in the rescaled domain (the
 domain blown up by 1/epsilon) together with i.i.d. marks.  Centres come
 either from the integer lattice or from a homogeneous Poisson process.
+Lattice sites are kept as their row-major keys in the box [-m, m]^d with
+m = floor(radius/epsilon); their coordinates are unravelled on demand.
 """
 
 from __future__ import annotations
@@ -94,23 +96,25 @@ class ProcessSpec:
 
 
 class MarkedConfiguration:
-    """One sampled realization: rescaled centres and marks."""
+    """One sampled realization: rescaled centres and marks.
 
-    def __init__(self, spec: ProcessSpec, replicate: int, points: np.ndarray,
-                 rho: np.ndarray, lattice_coords: Optional[np.ndarray] = None,
-                 site_keys: Optional[np.ndarray] = None):
+    A lattice configuration keeps only ``site_keys``, the strictly increasing
+    row-major keys of its sites in [-m, m]^d; its coordinates are derived.
+    """
+
+    def __init__(self, spec: ProcessSpec, replicate: int, rho: np.ndarray,
+                 points: Optional[np.ndarray] = None, site_keys: Optional[np.ndarray] = None):
         self.spec = spec
         self.replicate = replicate
-        self.points = points
         self.rho = rho
-        self.lattice_coords = lattice_coords
-        # row-major keys of lattice_coords in [-m, m]^d, strictly increasing
+        self._points = points
         self.site_keys = site_keys
+        self.m = int(math.floor(spec.domain.radius / spec.epsilon)) if self.is_lattice else None
         self._index: Optional[SpatialIndex] = None
         self._min_dist: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return self.points.shape[0]
+        return self.rho.shape[0]
 
     @property
     def is_lattice(self) -> bool:
@@ -127,9 +131,26 @@ class MarkedConfiguration:
         a = self.spec.hole_scale * self.rho
         return np.minimum(a, 1.0) if truncate else a
 
-    def centers(self) -> np.ndarray:
-        """Physical hole centres (points scaled back by epsilon)."""
-        return self.spec.epsilon * self.points
+    def _sites(self, idx=slice(None)) -> np.ndarray:
+        """Integer lattice sites (n, d) of the points idx, from their keys."""
+        shape = (2 * self.m + 1,) * self.spec.d
+        return np.stack(np.unravel_index(self.site_keys[idx], shape), axis=-1) - self.m
+
+    def rescaled(self, idx=slice(None)) -> np.ndarray:
+        """Rescaled centres of the points idx (all points by default)."""
+        return self._sites(idx).astype(float) if self.is_lattice else self._points[idx]
+
+    def _set_points(self, value: np.ndarray):
+        if self.is_lattice:
+            raise AttributeError("lattice points are derived from site_keys")
+        self._points = value
+
+    lattice_coords = property(_sites)
+    points = property(rescaled, _set_points)
+
+    def centers(self, idx=slice(None)) -> np.ndarray:
+        """Physical hole centres of the points idx (rescaled back by epsilon)."""
+        return self.spec.epsilon * self.rescaled(idx)
 
     def neighbours(self, idx, reach):
         """Pairs (c, j) with point j within the closed max-norm ball of
@@ -143,12 +164,11 @@ class MarkedConfiguration:
         idx = np.asarray(idx, dtype=np.int64)
         reach = np.broadcast_to(np.asarray(reach, dtype=float), idx.shape)
         if not self.is_lattice:
-            return self.index.query(self.points[idx], reach)
-        m = int(math.floor(self.spec.domain.radius / self.spec.epsilon))
-        keys = self.site_keys
+            return self.index.query(self.rescaled(idx), reach)
+        m, keys, sites = self.m, self.site_keys, self._sites(idx)
         half = np.floor(reach).astype(np.int64)[:, None]
-        lo = np.maximum(self.lattice_coords[idx] - half, -m)
-        ext = np.maximum(np.minimum(self.lattice_coords[idx] + half, m) - lo + 1, 0)
+        lo = np.maximum(sites - half, -m)
+        ext = np.maximum(np.minimum(sites + half, m) - lo + 1, 0)
         vol = np.prod(ext, axis=1)
         c = np.repeat(np.arange(idx.size, dtype=np.int64), vol)
         # position inside the centre's box, peeled into axis offsets from
@@ -201,15 +221,13 @@ def sample_configuration(spec: ProcessSpec, replicate: int,
     if spec.process == "lattice":
         m = int(math.floor(spec.domain.radius / spec.epsilon))
         axes = [np.arange(-m, m + 1, dtype=np.int64)] * spec.d
-        grids = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([g.ravel() for g in grids], axis=1)
         u = coordinate_uniforms(spec.master_seed, replicate, np.ix_(*axes)).ravel()
-        keys = np.arange(coords.shape[0])
+        keys = np.arange(u.size)
         if spec.domain.shape != "axis_cube":
-            keep = spec.domain.contains(spec.epsilon * coords.astype(float))
-            coords, u, keys = coords[keep], u[keep], np.flatnonzero(keep)
-        rho = spec.marks.quantile(u)
-        return MarkedConfiguration(spec, replicate, coords.astype(float), rho, coords, keys)
+            whole_box = MarkedConfiguration(spec, replicate, u, site_keys=keys)
+            keep = spec.domain.contains(whole_box.centers())
+            u, keys = u[keep], keys[keep]
+        return MarkedConfiguration(spec, replicate, spec.marks.quantile(u), site_keys=keys)
 
     gen = replicate_generator(spec.master_seed, replicate)
     mean = spec.intensity * spec.domain.volume(spec.d) / spec.epsilon ** spec.d
@@ -225,7 +243,7 @@ def sample_configuration(spec: ProcessSpec, replicate: int,
             pts = np.vstack([pts, batch])
         pts = pts[:n]
     rho = spec.marks.quantile(gen.random(n))
-    return MarkedConfiguration(spec, replicate, pts, rho)
+    return MarkedConfiguration(spec, replicate, rho, points=pts)
 
 
 def thin_configuration(config: MarkedConfiguration, delta: float) -> np.ndarray:

@@ -21,9 +21,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .corrector import CorrectorField, build_capacity_measure, c0_constant
-from .covering import (CubeCovering, RandomCovering, build_cube_covering,
-                       build_random_covering, mesoscale_parameters,
-                       trimmed_min_distances)
+from .covering import (RandomCovering, build_cube_covering, build_random_covering,
+                       mesoscale_parameters)
 from .marks import MarkDistribution
 from .partition import bad_capacity_sum, overlap_pairs, partition_configuration
 from .process import MarkedConfiguration, ProcessSpec, sample_configuration, thin_configuration
@@ -282,7 +281,7 @@ def quenched_error_surrogate(config: MarkedConfiguration, partition, covering,
         weight = (eps / covering.tilde_r) ** d
         t_second = ke ** 2 * eps ** d * float(np.sum(rho_t ** (2 * (d - 2)) * weight))
         # points in the outer shell of their cell (outside the k-1 core)
-        x = config.centers()[thinned]
+        x = config.centers(thinned)
         cells = covering.cell_of
         face_dist = np.minimum(x - base.lo[cells], base.hi[cells] - x).min(axis=1)
         in_band = face_dist < eps / 2.0

@@ -1,11 +1,13 @@
 import json
 import os
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from holelab.cli import main
-from holelab.io_utils import read_field, write_csv, write_field, write_json
+from holelab.io_utils import write_csv, write_field, write_json
 
 
 def run(args):
@@ -166,6 +168,13 @@ def test_mecke_cli_small(tmp_path, capsys):
     assert float(rows["isolated_mark"][4]) > 0.0      # rhs: not a null event
 
 
+def read_field(path):
+    """The inverse of io_utils.write_field."""
+    raw = Path(path).read_bytes()
+    n, h, d = struct.unpack_from("<qdq", raw)
+    return np.frombuffer(raw, dtype=np.float64, offset=24).reshape((n,) * d), h
+
+
 def test_field_binary_roundtrip(tmp_path):
     values = np.arange(27.0).reshape(3, 3, 3)
     path = str(tmp_path / "f.bin")
@@ -236,6 +245,26 @@ def test_epsilon_rejected_where_the_grid_replaces_it(tmp_path, capsys, command):
         run([command, "--epsilon", "0.1", "--dry-run", "--out-dir", str(out)])
     assert exc.value.code == 2
     assert "--epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_random_covering_refused_on_a_lattice_spec(tmp_path, capsys, monkeypatch, dry_run):
+    # the randomized covering serves poisson centres; on this lattice spec
+    # its volume bound failed after sampling (exit 3)
+    import holelab.cli as cli
+    monkeypatch.setattr(cli, "sample_configuration", lambda *a: pytest.fail("sampled"))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "spec": {"d": 3, "epsilon": 0.125, "process": "lattice",
+                 "marks": {"kind": "pareto", "beta_eff": 0.5},
+                 "domain": {"shape": "axis_cube", "half_width": 1.0}, "master_seed": 1},
+        "k": 2, "delta": 0.8, "random": True}))
+    out = tmp_path / "out"
+    code = run(["covering", "--config", str(cfg), "--out-dir", str(out)]
+               + ["--dry-run"] * dry_run)
+    assert code == 2
+    assert '"random": true needs a poisson spec' in capsys.readouterr().err
     assert not out.exists()
 
 

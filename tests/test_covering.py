@@ -75,6 +75,24 @@ def test_every_point_in_exactly_one_cell():
         assert np.all(centers[i] <= cov.hi[c] + 1e-12)
 
 
+@pytest.mark.parametrize("domain", [DomainDescriptor("axis_cube", 1.0),
+                                    DomainDescriptor("axis_cube", 0.5),
+                                    DomainDescriptor("unit_ball")],
+                         ids=["cube1", "cube0.5", "unit_ball"])
+@pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 48], ids=["1/8", "1/16", "1/48"])
+def test_lattice_cells_per_axis_match_cell_of_points(domain, eps):
+    # the per-axis lattice index keeps the face tie-break and the clip of
+    # cell_of_points; lattice sites sit on faces at every even k
+    spec = ProcessSpec(d=3, epsilon=eps, process="lattice",
+                       marks=MarkDistribution.constant(1.0), domain=domain)
+    config = sample_configuration(spec, 0)
+    ks = [k for k in (2, 3, 4, 8, 16) if k * eps <= domain.radius]
+    assert ks
+    for k in ks:
+        cov = build_cube_covering(config, k)
+        assert np.array_equal(cov.point_cell, cov.cell_of_points(config.centers()))
+
+
 def test_k1_one_point_per_cell():
     config = sample_configuration(spec_for(eps=0.25), 0)
     cov = build_cube_covering(config, 1)

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 from pathlib import Path
@@ -133,6 +134,29 @@ def test_lattice_marks_hash_their_site(domain):
     config = sample_configuration(spec, 2)
     u = coordinate_uniforms(5, 2, config.lattice_coords)
     assert np.array_equal(config.rho, marks.quantile(u))
+
+
+@pytest.mark.parametrize("domain", ["axis_cube", "unit_ball"])
+def test_lattice_coordinates_derive_from_their_keys(domain):
+    eps, m = 1 / 8, 8
+    spec = ProcessSpec(d=3, epsilon=eps, process="lattice", marks=MarkDistribution.constant(1.0),
+                       domain=DomainDescriptor(domain))
+    config = sample_configuration(spec, 0)
+    # only keys and marks are held: no (n, d) array after sampling
+    assert [name for name, value in vars(config).items() if np.ndim(value) > 1] == []
+    grid = np.stack(np.meshgrid(*([np.arange(-m, m + 1)] * 3), indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    grid = grid[spec.domain.contains(eps * grid.astype(float))]
+    assert config.lattice_coords.dtype == np.int64
+    assert np.array_equal(config.lattice_coords, grid)
+    assert np.array_equal(config.points, grid.astype(float))
+    subset = np.random.default_rng(1).choice(len(config), 40, replace=False)
+    for idx in (np.arange(len(config)), subset):
+        assert np.array_equal(config.rescaled(idx), grid[idx].astype(float))
+        assert np.array_equal(config.centers(idx), eps * grid[idx].astype(float))
+    assert np.array_equal(config.centers(), eps * grid.astype(float))
+    with pytest.raises(AttributeError):
+        config.points = grid.astype(float)
 
 
 def test_memory_cap_refuses():
@@ -280,6 +304,23 @@ def test_one_neighbour_search_in_the_package():
     users = [path.name for path in sorted(src.glob("*.py"))
              if re.search(r"scipy\.spatial|cKDTree", path.read_text())]
     assert users == ["index.py"]
+
+
+def test_no_unused_imports_in_the_package():
+    # every name a module imports is used in it (__init__ only re-exports)
+    src = Path(holelab.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                unused += [f"{path.name}: {alias.asname or alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in used]
+    assert unused == []
 
 
 def test_nearest_neighbor_matches_bruteforce_100_seeds():
