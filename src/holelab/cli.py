@@ -114,7 +114,7 @@ def _cmd_sample(args, cfg):
     config = sample_configuration(spec, rep)
     path = _out(args, "configuration.csv")
     header = ["replicate"] + [f"x{i + 1}" for i in range(spec.d)] + ["rho"]
-    write_csv(path, header, config.csv_rows())
+    write_csv(path, header, config.csv_columns())
     return 0, f"sample: {len(config)} points -> {path}"
 
 
@@ -128,7 +128,7 @@ def _cmd_partition(args, cfg):
     part = partition_configuration(config, delta)
     failed = [c for c in verify_partition(config, part).checks if not c.passed]
     path = _out(args, "partition.csv")
-    write_csv(path, ["index", "class", "rho", "R"], part.csv_rows(config))
+    write_csv(path, ["index", "class", "rho", "R"], part.csv_columns(config))
     summary = (f"partition: good={part.good.size} J={part.bad_J.size} K={part.bad_K.size}"
                f" C={part.bad_C.size} I={part.bad_I_tilde.size} -> {path}")
     if failed:
@@ -146,7 +146,7 @@ def _cmd_corrector(args, cfg):
     fld = CorrectorField.from_configuration(config, delta)
     mu = build_capacity_measure(fld)
     path = _out(args, "capacity_measure.csv")
-    write_csv(path, [f"c{i + 1}" for i in range(spec.d)] + ["R", "weight"], mu.csv_rows())
+    write_csv(path, [f"c{i + 1}" for i in range(spec.d)] + ["R", "weight"], mu.csv_columns())
     summary = {"cells": len(fld), "energy": corrector_energy(fld),
                "c0": c0_constant(spec), "total_weight": mu.total_weight}
     write_json(_out(args, "corrector_summary.json"), summary)
@@ -169,7 +169,7 @@ def _cmd_covering(args, cfg):
     if randomized:
         cov = build_random_covering(config, k, cfg.get("delta"))
         report = verify_random_covering(cov)
-        write_csv(path, header, cov.csv_rows())
+        write_csv(path, header, cov.csv_columns())
         summary = (f"covering: {report.n_cells} cells, violations "
                    f"vol={report.volume_violations} overlap={report.overlap_violations}"
                    f" dichotomy={report.dichotomy_violations} -> {path}")
@@ -177,7 +177,7 @@ def _cmd_covering(args, cfg):
             return 1, f"{summary}; {report.detail}"
         return 0, summary
     cov = build_cube_covering(config, k)
-    write_csv(path, header, cov.csv_rows())
+    write_csv(path, header, cov.csv_columns())
     n_int = int(np.count_nonzero(cov.interior & cov.meets_domain))
     return 0, f"covering: {cov.n_cells} cells ({n_int} interior) -> {path}"
 
@@ -196,7 +196,7 @@ def _cmd_rates(args, cfg):
     stat = ensemble_run(spec, quantity, grid, reps, params=params, workers=_workers(args))
     write_csv(_out(args, f"samples_{quantity}.csv"),
               ["quantity", "d", "beta_eff", "epsilon", "replicate", "value"],
-              stat.csv_rows(spec))
+              stat.csv_columns(spec))
     theo = theoretical_exponents(spec.d, spec.marks.beta_eff, spec.marks)
     fit = fit_rate(stat, theo=theo, tolerance=cfg.get("tolerance", 0.2))
     write_json(_out(args, f"fit_{quantity}.json"), dict(fit.to_json(), quantity=quantity))
@@ -214,8 +214,7 @@ def _cmd_hminus(args, cfg):
     # the geometry is fixed (unit marks on the unit-volume lattice cube)
     seed = args.seed if args.seed is not None else 0
     result = periodic_hminus_rate(grid, grid_n=n, seed=seed)
-    write_csv(_out(args, "hminus.csv"), ["epsilon", "norm"],
-              zip(result.epsilons, result.norms))
+    write_csv(_out(args, "hminus.csv"), ["epsilon", "norm"], (result.epsilons, result.norms))
     write_json(_out(args, "hminus_fit.json"),
                {"slope": result.slope, "r2": result.r2, "pass": result.passed})
     return (0 if result.passed else 1), \
@@ -240,8 +239,8 @@ def _cmd_solve(args, cfg):
     write_field(_out(args, "u_homogenized.bin"), u_hom, grid.h)
     mid = grid.n // 2
     write_csv(_out(args, "u_midplane.csv"), ["i", "j", "u_eps", "u_hom"],
-              ((i, j, sol.u[i, j, mid], u_hom[i, j, mid])
-               for i in range(grid.n) for j in range(grid.n)))
+              (np.indices((grid.n, grid.n)).reshape(2, -1).T,
+               sol.u[:, :, mid].ravel(), u_hom[:, :, mid].ravel()))
     return 0, (f"solve: error={err:.6g}, pinned nodes={sol.pinned_nodes},"
                f" omitted holes={len(sol.omitted_holes)}")
 
@@ -257,8 +256,8 @@ def _cmd_mecke(args, cfg):
     reports = [mecke_check(spec, name, trials) for name in names]
     write_csv(_out(args, "mecke.csv"),
               ["functional", "trials", "lhs", "lhs_se", "rhs", "rhs_se", "z"],
-              ((r.functional, r.trials, r.lhs, r.lhs_se, r.rhs, r.rhs_se, r.z_score)
-               for r in reports))
+              [[getattr(r, name) for r in reports] for name in
+               ("functional", "trials", "lhs", "lhs_se", "rhs", "rhs_se", "z_score")])
     worst = max(abs(r.z_score) for r in reports)
     ok = worst < 4.0
     return (0 if ok else 1), f"mecke: max |z| = {worst:.3f} over {len(reports)} functionals" \

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .io_utils import column_rows
 from .process import MarkedConfiguration, ProcessSpec, thin_configuration
 
 
@@ -133,8 +132,8 @@ class CapacityMeasure:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    def csv_rows(self):
-        return column_rows(self.centers, self.sphere_radii, self.weights)
+    def csv_columns(self):
+        return self.centers, self.sphere_radii, self.weights
 
 
 def build_capacity_measure(field: CorrectorField) -> CapacityMeasure:

@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .index import SpatialIndex
-from .io_utils import column_rows
 from .process import MarkedConfiguration, thin_configuration
 
 
@@ -81,15 +80,15 @@ class CubeCovering:
         m = np.ceil(t - 1e-9).astype(np.int64) - 1 - self.m_lo
         return np.ravel_multi_index(tuple(m.T), tuple(self.m_count), mode="clip")
 
-    def csv_rows(self):
+    def csv_columns(self):
         vols = np.full(self.n_cells, self.cell_size ** self.m_lo.size)
-        return _cell_rows(self, vols, self.point_cell)
+        return _cell_columns(self, vols, self.point_cell)
 
 
-def _cell_rows(base: CubeCovering, volumes: np.ndarray, point_cell: np.ndarray):
-    """One row per cell: index, anchor, volume, point count, interior flag."""
+def _cell_columns(base: CubeCovering, volumes: np.ndarray, point_cell: np.ndarray):
+    """CSV columns of the cells: index, anchor, volume, point count, interior flag."""
     counts = np.bincount(point_cell, minlength=base.n_cells)
-    return column_rows(np.arange(base.n_cells), base.anchors, volumes, counts, base.interior)
+    return np.arange(base.n_cells), base.anchors, volumes, counts, base.interior
 
 
 def build_cube_covering(config: MarkedConfiguration, k: int) -> CubeCovering:
@@ -181,8 +180,8 @@ class RandomCovering:
     def epsilon(self) -> float:
         return self.base.epsilon
 
-    def csv_rows(self):
-        return _cell_rows(self.base, self.volumes, self.cell_of)
+    def csv_columns(self):
+        return _cell_columns(self.base, self.volumes, self.cell_of)
 
 
 def build_random_covering(config: MarkedConfiguration, k: int,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import os
 import struct
@@ -43,37 +42,36 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         fh.write(data)
 
 
-def write_csv(path: str, header, rows) -> None:
-    """Write the header and the rows straight into the temporary file."""
-    with atomic_open(path, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+_ROW_BLOCK = 1024      # rows converted per block
 
 
-_ROW_BLOCK = 1024      # rows converted per tolist call
+def write_csv(path: str, header, columns) -> None:
+    """Write the header and the rows of aligned columns, a block of rows at
+    a time, into the temporary file.
 
-
-def column_rows(*columns):
-    """CSV rows of plain Python values from aligned columns.
-
-    A 1-D array gives one field per row, an (n, k) array k fields, and a
-    scalar the same field in every row.  Arrays are converted with
-    ``tolist`` a block of rows at a time, which is much faster than
-    indexing numpy scalars row by row and keeps the lists small; ``csv``
-    writes a Python float and a numpy float64 with the same text.
+    A 1-D array or list gives one field per row, an (n, k) array k fields,
+    and a scalar the same field in every row.  Each block is converted one
+    column at a time by ``tolist`` and ``str``, which gives a float its
+    shortest round-trip text, as ``csv`` does.  Fields are never quoted, so
+    none may hold a comma, a quote or a newline.
     """
-    n = next(len(c) for c in columns if np.ndim(c))
-    for start in range(0, n, _ROW_BLOCK):
-        fields = []
-        for col in columns:
-            if np.ndim(col) == 0:
-                fields.append(repeat(col))
-            elif np.ndim(col) == 1:
-                fields.append(col[start:start + _ROW_BLOCK].tolist())
-            else:
-                fields.extend(col[start:start + _ROW_BLOCK].T.tolist())
-        yield from zip(*fields)
+    ndims = [np.ndim(col) for col in columns]
+    lengths = list(dict.fromkeys(len(c) for c, nd in zip(columns, ndims) if nd))
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns are not aligned: {lengths[0]} and {lengths[1]} rows")
+    with atomic_open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, lengths[0] if lengths else 0, _ROW_BLOCK):
+            block, fields = slice(start, start + _ROW_BLOCK), []
+            for col, nd in zip(columns, ndims):
+                if nd == 0:
+                    fields.append(repeat(str(col)))
+                elif nd == 1:
+                    part = col[block]
+                    fields.append(map(str, part.tolist() if hasattr(part, "tolist") else part))
+                else:
+                    fields.extend(map(str, f) for f in col[block].T.tolist())
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def write_json(path: str, obj) -> None:

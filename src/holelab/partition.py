@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io_utils import column_rows
 from .process import MarkedConfiguration
 
 
@@ -32,12 +31,12 @@ class HolePartition:
     def bad(self) -> np.ndarray:
         return np.concatenate([self.bad_J, self.bad_K, self.bad_C, self.bad_I_tilde])
 
-    def csv_rows(self, config: MarkedConfiguration):
-        r = config.minimal_distances()
-        labels = [(self.good, "good"), (self.bad_J, "J"), (self.bad_K, "K"),
-                  (self.bad_C, "C"), (self.bad_I_tilde, "I")]
-        for idx, name in labels:
-            yield from column_rows(idx, name, config.rho[idx], r[idx])
+    def csv_columns(self, config: MarkedConfiguration):
+        """CSV columns index, class label, rho, R; the classes in turn."""
+        classes = [self.good, self.bad_J, self.bad_K, self.bad_C, self.bad_I_tilde]
+        idx = np.concatenate(classes)
+        labels = np.repeat(["good", "J", "K", "C", "I"], [c.size for c in classes])
+        return idx, labels, config.rho[idx], config.minimal_distances()[idx]
 
 
 def _contagion(config: MarkedConfiguration, core: np.ndarray, a: np.ndarray,

@@ -17,7 +17,6 @@ import numpy as np
 
 from .domain import DomainDescriptor
 from .index import SpatialIndex
-from .io_utils import column_rows
 from .marks import MarkDistribution
 from .rng import coordinate_uniforms, replicate_generator
 
@@ -203,8 +202,9 @@ class MarkedConfiguration:
                 self._min_dist = (eps / 4.0) * self.index.nearest_neighbor_distances(cap=1.0)
         return self._min_dist
 
-    def csv_rows(self):
-        return column_rows(self.replicate, self.points, self.rho)
+    def csv_columns(self):
+        """CSV columns replicate, rescaled centre, rho."""
+        return self.replicate, self.points, self.rho
 
 
 def sample_configuration(spec: ProcessSpec, replicate: int,

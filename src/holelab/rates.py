@@ -229,7 +229,10 @@ def cell_capacity_averages(config: MarkedConfiguration, covering, delta: float) 
     by k^d.  Random covering: divided by |cell| / eps^d, with Y built from
     the trimmed distances.
     """
-    thinned = thin_configuration(config, delta)
+    return _cell_averages(config, covering, thin_configuration(config, delta))
+
+
+def _cell_averages(config: MarkedConfiguration, covering, thinned: np.ndarray) -> np.ndarray:
     if isinstance(covering, RandomCovering):
         base = covering.base
         if not np.array_equal(thinned, covering.thinned):
@@ -268,7 +271,7 @@ def quenched_error_surrogate(config: MarkedConfiguration, partition, covering,
     center = density_centering(spec)
 
     base = covering.base if isinstance(covering, RandomCovering) else covering
-    s_vals = cell_capacity_averages(config, covering, delta)
+    s_vals = _cell_averages(config, covering, thinned)
     live = base.meets_domain
     interior = base.interior & live
     boundary = live & ~interior
@@ -328,11 +331,11 @@ class EnsembleStat:
     def means(self) -> np.ndarray:
         return self.samples.mean(axis=1)
 
-    def csv_rows(self, spec: ProcessSpec):
-        beta = spec.marks.beta_eff
-        for eps, row in zip(self.epsilon_grid, self.samples.tolist()):
-            for r, value in enumerate(row):
-                yield (self.quantity, spec.d, beta, eps, r, value)
+    def csv_columns(self, spec: ProcessSpec):
+        """CSV columns quantity, d, beta_eff, epsilon, replicate, value."""
+        return (self.quantity, spec.d, spec.marks.beta_eff,
+                np.repeat(self.epsilon_grid, self.replicates),
+                np.tile(np.arange(self.replicates), len(self.epsilon_grid)), self.samples.ravel())
 
 
 def _delta_for(spec: ProcessSpec, params: dict) -> float:

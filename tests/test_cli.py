@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import struct
@@ -92,14 +94,15 @@ def test_failed_csv_leaves_the_target_alone(tmp_path):
     path = tmp_path / "rows.csv"
     path.write_text("old\n")
 
-    def rows():
-        for i in range(5000):
-            if i == 2500:
-                raise RuntimeError("row source failed")
-            yield (i, 0.5 * i)
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("field text failed")
 
+    # the failing field lies past the first block of rows
+    values = [0.5 * i for i in range(5000)]
+    values[2500] = Unprintable()
     with pytest.raises(RuntimeError):
-        write_csv(str(path), ["i", "x"], rows())
+        write_csv(str(path), ["i", "x"], (np.arange(5000), values))
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["rows.csv"]
 
@@ -312,3 +315,58 @@ def test_covering_guard_catches_a_planted_violation(tmp_path, capsys, monkeypatc
     out = capsys.readouterr().out
     assert code == 1
     assert "cubes of thinned points 0 and 1 overlap" in out
+
+
+def _small_spec(process, shape="axis_cube", eps=0.125, half=0.5, seed=4):
+    spec = {"d": 3, "epsilon": eps, "process": process,
+            "marks": {"kind": "pareto", "beta_eff": 0.5},
+            "domain": {"shape": shape, "half_width": half}, "master_seed": seed}
+    return dict(spec, **{"lambda": 1.0}) if process == "poisson" else spec
+
+
+_CSV_COMMANDS = [
+    *[pytest.param(command, {"spec": _small_spec(process, shape, half=1.0)},
+                   id=f"{command}-{process}-{shape}")
+      for command in ("sample", "partition")
+      for process in ("lattice", "poisson") for shape in ("axis_cube", "unit_ball")],
+    pytest.param("corrector", {"spec": _small_spec("poisson", half=1.0)}, id="corrector"),
+    pytest.param("covering", {"spec": _small_spec("lattice", half=1.0), "k": 2},
+                 id="covering-cube"),
+    pytest.param("covering", {"spec": _small_spec("poisson", eps=1 / 16), "k": 3, "random": True},
+                 id="covering-random"),
+    pytest.param("rates", {"spec": _small_spec("lattice"), "quantity": "det_rhs", "delta": 0.8,
+                           "epsilon_grid": [1 / 8, 1 / 10, 1 / 12, 1 / 16], "replicates": 1},
+                 id="rates"),
+    pytest.param("solve", {"spec": _small_spec("poisson", eps=0.25, half=1.0), "grid_n": 17},
+                 id="solve"),
+    pytest.param("mecke", {"trials": 40}, id="mecke"),
+    pytest.param("hminus", {"epsilon_grid": [1 / 4, 1 / 6, 1 / 8], "grid_n": 17}, id="hminus"),
+]
+
+
+def _number(field):
+    for kind in (int, float):
+        try:
+            return kind(field)
+        except ValueError:
+            pass
+    return field
+
+
+@pytest.mark.parametrize("command, config", _CSV_COMMANDS)
+def test_csv_fields_are_shortest_round_trip_text(tmp_path, command, config):
+    # re-read every CSV, turn its numbers back into int or float and write
+    # it again with the standard writer: the bytes must not change
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out-dir", str(out)]) in (0, 1)
+    paths = sorted(out.glob("*.csv"))
+    assert len(paths) == 1
+    raw = paths[0].read_bytes()
+    rows = list(csv.reader(io.StringIO(raw.decode("utf-8"))))
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+    again = io.StringIO()
+    csv.writer(again, lineterminator="\n").writerows(
+        [rows[0]] + [[_number(field) for field in row] for row in rows[1:]])
+    assert again.getvalue().encode("utf-8") == raw

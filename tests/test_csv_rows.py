@@ -1,8 +1,13 @@
-"""The CSV row generators against the per-row numpy indexing they replace.
+"""The columnar CSV writer against the standard library's ``csv.writer``.
 
-Each old generator is kept here as the reference; both are written through
-``write_csv`` and the files must be byte-identical.
+Each old per-row generator is kept here as the reference and written
+through ``csv.writer``; the package's ``write_csv`` of the matching
+``csv_columns()`` must give the same bytes.
 """
+
+import csv
+import math
+import os
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ import pytest
 from holelab import (CorrectorField, DomainDescriptor, EnsembleStat, MarkDistribution,
                      ProcessSpec, build_capacity_measure, build_cube_covering,
                      build_random_covering, sample_configuration)
-from holelab.io_utils import write_csv
+from holelab.io_utils import _ROW_BLOCK, write_csv
 from holelab.partition import partition_configuration
 
 
@@ -20,9 +25,16 @@ def spec(process, eps=1 / 8, domain=DomainDescriptor()):
                        intensity=1.0 if process == "poisson" else None, master_seed=5)
 
 
-def same_bytes(tmp_path, new_rows, old_rows):
-    write_csv(tmp_path / "new.csv", ["h"], new_rows)
-    write_csv(tmp_path / "old.csv", ["h"], old_rows)
+def reference_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def same_bytes(tmp_path, columns, old_rows, header=("h",)):
+    write_csv(tmp_path / "new.csv", header, columns)
+    reference_csv(tmp_path / "old.csv", header, old_rows)
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
     return new.count(b"\n") - 1
@@ -30,13 +42,15 @@ def same_bytes(tmp_path, new_rows, old_rows):
 
 @pytest.mark.parametrize("process", ["lattice", "poisson"])
 def test_configuration_rows(tmp_path, process):
-    config = sample_configuration(spec(process, domain=DomainDescriptor("unit_ball")), 2)
+    for shape in ("axis_cube", "unit_ball"):
+        config = sample_configuration(spec(process, domain=DomainDescriptor(shape)), 2)
 
-    def old():
-        for i in range(len(config)):
-            yield (config.replicate, *config.points[i], config.rho[i])
+        def old():
+            for i in range(len(config)):
+                yield (config.replicate, *config.points[i], config.rho[i])
 
-    assert same_bytes(tmp_path, config.csv_rows(), old()) == len(config)
+        assert len(config) > _ROW_BLOCK
+        assert same_bytes(tmp_path, config.csv_columns(), old()) == len(config)
 
 
 def test_partition_rows(tmp_path):
@@ -52,7 +66,7 @@ def test_partition_rows(tmp_path):
             for i in idx:
                 yield (int(i), name, config.rho[i], r[i])
 
-    assert same_bytes(tmp_path, part.csv_rows(config), old()) == len(config)
+    assert same_bytes(tmp_path, part.csv_columns(config), old()) == len(config)
 
 
 def test_cube_covering_rows(tmp_path):
@@ -65,7 +79,7 @@ def test_cube_covering_rows(tmp_path):
         for c in range(cov.n_cells):
             yield (c, *cov.anchors[c], vols[c], int(counts[c]), bool(cov.interior[c]))
 
-    assert same_bytes(tmp_path, cov.csv_rows(), old()) == cov.n_cells
+    assert same_bytes(tmp_path, cov.csv_columns(), old()) == cov.n_cells
 
 
 def test_random_covering_rows(tmp_path):
@@ -77,7 +91,7 @@ def test_random_covering_rows(tmp_path):
             yield (c, *cov.base.anchors[c], cov.volumes[c], int(counts[c]),
                    bool(cov.base.interior[c]))
 
-    assert same_bytes(tmp_path, cov.csv_rows(), old()) == cov.base.n_cells
+    assert same_bytes(tmp_path, cov.csv_columns(), old()) == cov.base.n_cells
 
 
 def test_capacity_measure_rows(tmp_path):
@@ -89,7 +103,7 @@ def test_capacity_measure_rows(tmp_path):
         for k in range(len(mu)):
             yield (*mu.centers[k], mu.sphere_radii[k], mu.weights[k])
 
-    assert same_bytes(tmp_path, mu.csv_rows(), old()) == len(mu)
+    assert same_bytes(tmp_path, mu.csv_columns(), old()) == len(mu)
 
 
 def test_ensemble_rows(tmp_path):
@@ -103,4 +117,37 @@ def test_ensemble_rows(tmp_path):
             for r in range(stat.replicates):
                 yield (stat.quantity, sp.d, beta, eps, r, stat.samples[i, r])
 
-    assert same_bytes(tmp_path, stat.csv_rows(sp), old()) == samples.size
+    assert same_bytes(tmp_path, stat.csv_columns(sp), old()) == samples.size
+
+
+EDGE_FLOATS = [-0.0, math.nan, math.inf, -math.inf, 1e16, 1e-5, 5e-324, 2.5e17, 0.1 + 0.2,
+               1 / 3, -7.0, 0.0, 123456789.125]
+
+
+@pytest.mark.parametrize("n", [0, 1, _ROW_BLOCK, _ROW_BLOCK + 3, 2 * _ROW_BLOCK + 1])
+def test_edge_case_columns(tmp_path, n):
+    floats = np.array([EDGE_FLOATS[i % len(EDGE_FLOATS)] for i in range(n)])
+    pairs = np.stack([floats[::-1], np.arange(n) - 5.5], axis=1)
+    flags = np.arange(n) % 3 == 0
+    labels = np.where(flags, "good", "I")
+    py_floats = floats.tolist()
+    py_bools = [bool(b) for b in flags]
+    columns = ("label", np.float64(0.1 + 0.2), 7, True, -0.0, floats, pairs, flags, labels,
+               np.arange(n, dtype=np.int64) - 3, py_floats, py_bools, list(labels.tolist()))
+
+    def old():
+        for i in range(n):
+            yield ("label", np.float64(0.1 + 0.2), 7, True, -0.0, floats[i], *pairs[i],
+                   flags[i], labels[i], i - 3, py_floats[i], py_bools[i], str(labels[i]))
+
+    header = [f"f{i}" for i in range(14)]
+    assert same_bytes(tmp_path, columns, old(), header) == n
+
+
+def test_misaligned_columns_refused_before_any_file(tmp_path):
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match="5 and 4"):
+        write_csv(path, ["a", "b", "c"], (np.arange(5), 1.0, np.zeros((4, 1))))
+    with pytest.raises(ValueError, match="3 and 2"):
+        write_csv(path, ["a", "b"], ([1, 2, 3], ["x", "y"]))
+    assert os.listdir(tmp_path) == []

@@ -7,7 +7,7 @@ from holelab import (DomainDescriptor, MarkDistribution, ProcessSpec,
                      build_cube_covering, build_random_covering,
                      cell_capacity_averages, ensemble_run, fit_loglog, fit_rate,
                      quenched_error_surrogate, sample_configuration,
-                     theoretical_exponents)
+                     theoretical_exponents, thin_configuration)
 from holelab.corrector import build_capacity_measure, CorrectorField
 from holelab.partition import partition_configuration
 from holelab.rates import (EnsembleStat, capacity_weights, density_centering,
@@ -182,6 +182,23 @@ def test_surrogate_poisson_matches_reimplementation():
     assert np.count_nonzero(shell) > 0
 
 
+def test_det_rhs_thins_once_per_replicate(monkeypatch):
+    # the surrogate's cell averages reuse its thinned indices
+    import holelab.rates as rates
+    calls = []
+
+    def counted(config, delta):
+        calls.append(delta)
+        return thin_configuration(config, delta)
+
+    monkeypatch.setattr(rates, "thin_configuration", counted)
+    marks = MarkDistribution.pareto_for_beta(3, 0.5)
+    stat = ensemble_run(spec_for(eps=1 / 8, marks=marks, half=0.5), "det_rhs",
+                        [1 / 8, 1 / 16], 3, params={"delta": 0.8})
+    assert stat.samples.shape == (2, 3) and np.all(stat.samples > 0)
+    assert calls == [0.8] * 6
+
+
 def test_surrogate_empty_configuration():
     spec = spec_for("poisson", eps=0.25, half=1.0, lam=1e-6, seed=1)
     config = sample_configuration(spec, 0)
@@ -318,8 +335,8 @@ def test_ensemble_reproducible_and_csv():
     a = ensemble_run(spec, "bad_capacity", [1 / 8, 1 / 16], 5, params={"delta": 0.8})
     b = ensemble_run(spec, "bad_capacity_sum", [1 / 8, 1 / 16], 5, params={"delta": 0.8})
     assert np.array_equal(a.samples, b.samples)   # alias resolves
-    rows = list(a.csv_rows(spec))
-    assert len(rows) == 10 and rows[0][0] == "bad_capacity"
+    columns = a.csv_columns(spec)
+    assert len(columns[-1]) == 10 and columns[0] == "bad_capacity"
 
 
 def test_ensemble_parallel_matches_serial():
