@@ -13,7 +13,7 @@ from .domain import DomainDescriptor
 from .index import SpatialIndex
 from .marks import MarkDistribution
 from .partition import (HolePartition, bad_capacity_sum, overlap_pairs,
-                        partition_lattice, partition_poisson, verify_partition)
+                        partition_configuration, verify_partition)
 from .pde import (Grid, GriddedMeasure, deposit_measure, hminus_norm,
                   homogenization_error, homogenized_solve,
                   neumann_cell_energies, solve_perforated)

@@ -22,11 +22,11 @@ from .covering import (build_cube_covering, build_random_covering,
                        mesoscale_parameters, verify_random_covering)
 from .experiments import exponent_table, mecke_spec, periodic_hminus_rate
 from .io_utils import write_csv, write_field, write_json
-from .partition import partition_configuration, verify_partition
+from .partition import check_partition_scale, partition_configuration, verify_partition
 from .pde import Grid, homogenization_error, homogenized_solve, solve_perforated
 from .process import MECKE_FUNCTIONALS, ProcessSpec, mecke_check, sample_configuration
-from .rates import (canonical_quantity, check_fit_design, ensemble_run, fit_rate,
-                    theoretical_exponents)
+from .rates import (_delta_for, canonical_quantity, check_fit_design, ensemble_run,
+                    fit_rate, theoretical_exponents)
 
 logger = logging.getLogger("holelab")
 
@@ -190,6 +190,9 @@ def _cmd_rates(args, cfg):
     params = {"delta": cfg.get("delta"), "k": cfg.get("k"),
               "grid_n": cfg.get("grid_n", 65)}
     check_fit_design(grid, reps)
+    if quantity in ("bad_capacity", "det_rhs"):
+        check_partition_scale(spec.d, max(grid), _delta_for(spec, params),
+                              spec.process == "lattice")
     if args.dry_run:
         return 0, (f"rates: would run {quantity} over {len(grid)} epsilons x {reps}"
                    f" replicates ({_workers(args)} workers)")
@@ -249,7 +252,7 @@ def _cmd_mecke(args, cfg):
     spec = ProcessSpec.from_json(cfg["spec"]) if cfg.get("spec") else mecke_spec(seed=0)
     if args.seed is not None:
         spec = dataclasses.replace(spec, master_seed=args.seed)
-    trials = cfg.get("trials", args.trials or 10000)
+    trials = cfg.get("trials", 10000)
     names = [cfg["functional"]] if "functional" in cfg else list(MECKE_FUNCTIONALS)
     if args.dry_run:
         return 0, f"mecke: would run {names} at {trials} trials"
@@ -318,7 +321,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config, args.command)
         if getattr(args, "quantity", None):
             cfg["quantity"] = args.quantity
-        if getattr(args, "trials", None) and args.command == "mecke":
+        if getattr(args, "trials", None) is not None:
             cfg["trials"] = args.trials
         code, summary = _BODIES[args.command](args, cfg)
     except (ConfigError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:

@@ -59,6 +59,17 @@ def _contagion(config: MarkedConfiguration, core: np.ndarray, a: np.ndarray,
     return hit
 
 
+def check_partition_scale(d: int, epsilon: float, delta: float, lattice: bool) -> None:
+    """Refuse a delta outside (0, 2/(d-2)] and, on the lattice, an epsilon
+    with eps^delta >= 1/4: the decomposition does not cover them."""
+    if not 0 < delta <= 2.0 / (d - 2):
+        raise ValueError("delta must lie in (0, 2/(d-2)]")
+    if lattice and epsilon ** delta >= 0.25:
+        raise ValueError(
+            f"epsilon={epsilon} too large for delta={delta}; "
+            f"the decomposition requires epsilon < {0.25 ** (1.0 / delta):.6g}")
+
+
 def _classify(config: MarkedConfiguration, delta: float) -> HolePartition:
     """The classes and safety balls of either process.
 
@@ -66,12 +77,7 @@ def _classify(config: MarkedConfiguration, delta: float) -> HolePartition:
     needs eps^delta < 1/4; the J holes alone then seed the contagion.
     """
     d, eps = config.spec.d, config.spec.epsilon
-    if not 0 < delta <= 2.0 / (d - 2):
-        raise ValueError("delta must lie in (0, 2/(d-2)]")
-    if config.is_lattice and eps ** delta >= 0.25:
-        raise ValueError(
-            f"epsilon={eps} too large for delta={delta}; "
-            f"the decomposition requires epsilon < {0.25 ** (1.0 / delta):.6g}")
+    check_partition_scale(d, eps, delta, config.is_lattice)
     a = config.hole_radii()
     own = config.minimal_distances()
     mask_j = a >= eps ** (1.0 + delta)
@@ -94,22 +100,15 @@ def _classify(config: MarkedConfiguration, delta: float) -> HolePartition:
     )
 
 
-def partition_lattice(config: MarkedConfiguration, delta: float) -> HolePartition:
-    if not config.is_lattice:
-        raise ValueError("configuration is not lattice mode")
-    return _classify(config, delta)
-
-
-def partition_poisson(config: MarkedConfiguration, delta: float) -> HolePartition:
-    if config.is_lattice:
-        raise ValueError("configuration is not poisson mode")
-    return _classify(config, delta)
+# Not exported: the benchmark's tracer (perfbench/tracing.py) times the
+# classification under these two names, so the dispatch below goes through them.
+partition_lattice = partition_poisson = _classify
 
 
 def partition_configuration(config: MarkedConfiguration, delta: float) -> HolePartition:
-    if config.is_lattice:
-        return partition_lattice(config, delta)
-    return partition_poisson(config, delta)
+    """The good/bad decomposition of a lattice or Poisson configuration."""
+    branch = partition_lattice if config.is_lattice else partition_poisson
+    return branch(config, delta)
 
 
 def bad_capacity_sum(config: MarkedConfiguration, partition: HolePartition) -> float:

@@ -60,8 +60,9 @@ class ProcessSpec:
         return self.epsilon ** (self.d / (self.d - 2))
 
     def expected_points(self) -> float:
-        vol = self.domain.volume(self.d) / self.epsilon ** self.d
-        return vol if self.process == "lattice" else self.intensity * vol
+        """Mean point count; the Poisson draw takes it as its parameter."""
+        lam = 1.0 if self.process == "lattice" else self.intensity
+        return lam * self.domain.volume(self.d) / self.epsilon ** self.d
 
     def with_epsilon(self, epsilon: float) -> "ProcessSpec":
         return replace(self, epsilon=epsilon)
@@ -229,9 +230,14 @@ def sample_configuration(spec: ProcessSpec, replicate: int,
             u, keys = u[keep], keys[keep]
         return MarkedConfiguration(spec, replicate, spec.marks.quantile(u), site_keys=keys)
 
-    gen = replicate_generator(spec.master_seed, replicate)
-    mean = spec.intensity * spec.domain.volume(spec.d) / spec.epsilon ** spec.d
-    n = int(gen.poisson(mean))
+    pts, rho = _poisson_draw(spec, replicate_generator(spec.master_seed, replicate))
+    return MarkedConfiguration(spec, replicate, rho, points=pts)
+
+
+def _poisson_draw(spec: ProcessSpec, gen: np.random.Generator):
+    """Poisson centres on the rescaled domain and their marks, drawn from gen
+    in the order count, uniforms (rejected outside a ball), marks."""
+    n = int(gen.poisson(spec.expected_points()))
     r = spec.domain.radius / spec.epsilon
     if spec.domain.shape == "axis_cube":
         pts = gen.uniform(-r, r, size=(n, spec.d))
@@ -242,8 +248,7 @@ def sample_configuration(spec: ProcessSpec, replicate: int,
             batch = batch[np.einsum("ij,ij->i", batch, batch) <= r * r]
             pts = np.vstack([pts, batch])
         pts = pts[:n]
-    rho = spec.marks.quantile(gen.random(n))
-    return MarkedConfiguration(spec, replicate, rho, points=pts)
+    return pts, spec.marks.quantile(gen.random(n))
 
 
 def thin_configuration(config: MarkedConfiguration, delta: float) -> np.ndarray:
@@ -285,25 +290,6 @@ class MeckeReport:
 MECKE_FUNCTIONALS = ("count", "truncated_mark", "isolated_mark")
 
 
-def _window_points(spec, gen):
-    """One Poisson draw on the rescaled domain window."""
-    r = spec.domain.radius / spec.epsilon
-    mean = spec.intensity * spec.domain.volume(spec.d) / spec.epsilon ** spec.d
-    n = int(gen.poisson(mean))
-    pts = gen.uniform(-r, r, size=(n, spec.d))
-    rho = spec.marks.quantile(gen.random(n))
-    return pts, rho
-
-
-def _min_cheb_dist(pts: np.ndarray, x: np.ndarray, exclude: int = -1) -> float:
-    if pts.shape[0] == 0:
-        return np.inf
-    d = np.max(np.abs(pts - x), axis=1)
-    if exclude >= 0:
-        d[exclude] = np.inf
-    return float(d.min(initial=np.inf))
-
-
 def mecke_check(spec: ProcessSpec, functional: str, trials: int) -> MeckeReport:
     """Monte Carlo test of the exchange formula for Poisson configurations.
 
@@ -312,10 +298,14 @@ def mecke_check(spec: ProcessSpec, functional: str, trials: int) -> MeckeReport:
     rescaled cube of half-width 1/2 and the truncated mark functional cuts
     marks at 10.  The right-hand side is closed-form for the first two
     functionals and estimated by an independent second Monte Carlo for the
-    neighbour-dependent one.
+    neighbour-dependent one.  Both sides draw their configurations as
+    ``sample_configuration`` does, from one generator per side shared
+    across the trials.
     """
     if spec.process != "poisson":
         raise ValueError("the exchange identity is specific to the poisson process")
+    if trials < 2:
+        raise ValueError("need at least 2 trials for a standard error")
     if functional not in MECKE_FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}; choose from {MECKE_FUNCTIONALS}")
     d, eps = spec.d, spec.epsilon
@@ -328,20 +318,18 @@ def mecke_check(spec: ProcessSpec, functional: str, trials: int) -> MeckeReport:
     gen = replicate_generator(spec.master_seed, 0xA11CE)
     samples = np.empty(trials)
     for t in range(trials):
-        pts, rho = _window_points(spec, gen)
+        pts, rho = _poisson_draw(spec, gen)
         in_a = np.flatnonzero(np.max(np.abs(pts), axis=1) <= a_half_width)
         if functional == "count":
             samples[t] = in_a.size
             continue
-        total = 0.0
-        for i in in_a:
-            g = rho[i] ** (d - 2)
-            if functional == "truncated_mark":
-                total += g if rho[i] < trunc else 0.0
-            else:
-                r_i = (eps / 4.0) * min(_min_cheb_dist(pts, pts[i], exclude=i), 1.0)
-                total += g if r_i >= eps ** 2 else 0.0
-        samples[t] = total
+        if functional == "truncated_mark":
+            keep = rho[in_a] < trunc
+        else:
+            dist = np.max(np.abs(pts[in_a, None, :] - pts[None, :, :]), axis=2)
+            dist[np.arange(in_a.size), in_a] = np.inf
+            keep = (eps / 4.0) * np.minimum(dist.min(axis=1, initial=np.inf), 1.0) >= eps ** 2
+        samples[t] = np.sum(rho[in_a[keep]] ** (d - 2))
     lhs = float(samples.mean())
     lhs_se = float(samples.std(ddof=1) / math.sqrt(trials))
 
@@ -353,12 +341,11 @@ def mecke_check(spec: ProcessSpec, functional: str, trials: int) -> MeckeReport:
         return MeckeReport(functional, trials, lhs, lhs_se, rhs, 0.0)
 
     gen2 = replicate_generator(spec.master_seed, 0xB0B)
-    origin = np.zeros(d)
     vals = np.empty(trials)
     for t in range(trials):
-        pts, _ = _window_points(spec, gen2)
+        pts, _ = _poisson_draw(spec, gen2)
         rho0 = float(spec.marks.quantile(gen2.random(1))[0])
-        r0 = (eps / 4.0) * min(_min_cheb_dist(pts, origin), 1.0)
+        r0 = (eps / 4.0) * min(np.max(np.abs(pts), axis=1).min(initial=np.inf), 1.0)
         vals[t] = rho0 ** (d - 2) if r0 >= eps ** 2 else 0.0
     rhs = lam * vol_a * float(vals.mean())
     rhs_se = lam * vol_a * float(vals.std(ddof=1) / math.sqrt(trials))

@@ -147,6 +147,29 @@ def test_rates_design_refused_before_the_ensemble(tmp_path, capsys, design, dry_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("extra, message", [
+    # eps = 0.25 at delta = 0.5 fails the lattice partition in every replicate
+    ({}, "epsilon=0.25 too large for delta=0.5"),
+    ({"delta": 0.0, "spec": {"d": 3, "epsilon": 0.125, "process": "poisson", "lambda": 1.0,
+                             "marks": {"kind": "pareto", "beta_eff": 2.0}}}, "delta must lie in"),
+], ids=["lattice_epsilon", "delta"])
+def test_rates_partition_scale_refused_before_the_ensemble(tmp_path, capsys, monkeypatch,
+                                                           dry_run, extra, message):
+    import holelab.cli as cli
+    monkeypatch.setattr(cli, "ensemble_run", lambda *a, **k: pytest.fail("ran the ensemble"))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict({"quantity": "det_rhs", "delta": 0.5, "replicates": 30,
+                                    "epsilon_grid": [0.25, 0.2, 0.1666, 0.125]}, **extra)))
+    out = tmp_path / "out"
+    code = run(["rates", "--config", str(cfg), "--out-dir", str(out)]
+               + ["--dry-run"] * dry_run)
+    captured = capsys.readouterr()
+    assert code == 2 and message in captured.err
+    assert "would run" not in captured.out
+    assert not out.exists()
+
+
 def test_partition_and_covering_outputs(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -238,6 +261,16 @@ def test_trials_flag_overrides_config(tmp_path):
     rows = (tmp_path / "mecke.csv").read_text().splitlines()
     assert rows[0].split(",")[:2] == ["functional", "trials"]
     assert [row.split(",")[:2] for row in rows[1:]] == [["count", "20"]]
+
+
+@pytest.mark.parametrize("trials", ["0", "1"])
+def test_mecke_refuses_fewer_than_two_trials(tmp_path, capsys, trials):
+    # 0 is a value, not a request for the default; one trial has no standard
+    # error, and z = 0 would pass vacuously
+    out = tmp_path / "out"
+    code = run(["mecke", "--trials", trials, "--out-dir", str(out)])
+    assert code == 2 and "at least 2 trials" in capsys.readouterr().err
+    assert not (out / "mecke.csv").exists()
 
 
 # mecke has no grid, but its spec fixes epsilon just as firmly

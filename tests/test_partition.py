@@ -5,10 +5,9 @@ import pytest
 
 from holelab import (DomainDescriptor, MarkDistribution, ProcessSpec,
                      bad_capacity_sum, build_random_covering, overlap_pairs,
-                     partition_lattice, partition_poisson, sample_configuration,
+                     partition_configuration, sample_configuration,
                      theoretical_exponents, verify_partition, verify_random_covering)
 from holelab.experiments import DEFAULT_SEED, lattice_spec
-from holelab.partition import partition_configuration
 from holelab.process import MarkedConfiguration
 
 
@@ -89,7 +88,7 @@ def oracle_classes(masks, n):
 
 def test_unit_marks_all_good():
     config = sample_configuration(make_spec(epsilon=0.1), 0)
-    part = partition_lattice(config, 0.8)
+    part = partition_configuration(config, 0.8)
     assert part.good.size == len(config)
     assert part.bad.size == 0
     assert bad_capacity_sum(config, part) == 0.0
@@ -101,23 +100,14 @@ def test_threshold_mark_is_bad():
     config = sample_configuration(spec, 0)
     config.rho = config.rho.copy()
     config.rho[10] = eps ** (-2.0 + delta)      # hole radius exactly eps^(1+delta)
-    part = partition_lattice(config, delta)
+    part = partition_configuration(config, delta)
     assert 10 in part.bad_J
 
 
 def test_epsilon_threshold_refused():
     config = sample_configuration(make_spec(epsilon=0.25), 0)
     with pytest.raises(ValueError, match="too large"):
-        partition_lattice(config, 0.8)
-
-
-def test_wrong_branch_rejected():
-    config = sample_configuration(make_spec(epsilon=0.1), 0)
-    with pytest.raises(ValueError):
-        partition_poisson(config, 0.8)
-    pconfig = sample_configuration(make_spec("poisson", epsilon=0.1), 0)
-    with pytest.raises(ValueError):
-        partition_lattice(pconfig, 0.8)
+        partition_configuration(config, 0.8)
 
 
 def test_close_poisson_pair_in_bad_K():
@@ -125,7 +115,7 @@ def test_close_poisson_pair_in_bad_K():
     spec = make_spec("poisson", epsilon=eps)
     config = synthetic(spec, [[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [5.0, 5.0, 5.0]],
                        [0.1, 0.1, 0.1])
-    part = partition_poisson(config, 0.8)
+    part = partition_configuration(config, 0.8)
     # rescaled distance 0.3 < 4 eps = 0.4, so R <= eps^2 for both
     assert {0, 1} <= set(part.bad_K)
     assert 2 in part.good
@@ -138,7 +128,7 @@ def test_single_bad_mark_capacity_sum():
     config.rho = config.rho.copy()
     # just above the size threshold: bad on its own, too small to contaminate
     config.rho[0] = 2.0 * eps ** (-1.2)
-    part = partition_lattice(config, 0.8)
+    part = partition_configuration(config, 0.8)
     assert part.bad_J.size == 1 and part.bad_I_tilde.size == 0
     assert bad_capacity_sum(config, part) == pytest.approx(eps ** 3 * config.rho[0])
     # sum formula on a hand-built single-bad partition: eps^3 * rho = 0.002
@@ -180,7 +170,7 @@ def test_verify_detects_misclassified_point():
     config = sample_configuration(spec, 0)
     config.rho = config.rho.copy()
     config.rho[40] = eps ** (-2.0) * 2.0
-    part = partition_lattice(config, delta)
+    part = partition_configuration(config, delta)
     # move a contaminated neighbour from bad to good by hand
     assert part.bad_I_tilde.size > 0
     moved = part.bad_I_tilde[0]
@@ -255,7 +245,7 @@ def test_batched_safety_query_edge_cases():
     # relabelled good, so that several good points touch one J ball (one
     # of them listed twice)
     config = sample_configuration(make_spec(epsilon=0.125, marks=marks, half=0.5), 0)
-    part = partition_lattice(config, 0.8)
+    part = partition_configuration(config, 0.8)
     contagion = part.bad_I_tilde
     assert part.bad_J.size and contagion.size > 1
     assert good_avoids_bad_region(config, part) == loop_good_avoids_bad_region(config, part)
@@ -268,7 +258,7 @@ def test_batched_safety_query_edge_cases():
     assert good_avoids_bad_region(config, part) == (True, "")
     # no bad points
     config = sample_configuration(make_spec(epsilon=0.125, half=0.5), 0)
-    part = partition_lattice(config, 0.8)
+    part = partition_configuration(config, 0.8)
     assert part.safety_radii.size == 0
     assert good_avoids_bad_region(config, part) == (True, "")
 
@@ -294,7 +284,7 @@ def test_safety_region_stays_near_domain():
     marks = MarkDistribution.pareto_for_beta(3, 0.5)
     spec = make_spec(epsilon=0.125, marks=marks, seed=3)
     config = sample_configuration(spec, 5)
-    part = partition_lattice(config, 0.8)
+    part = partition_configuration(config, 0.8)
     if part.safety_radii.size:
         # centres lie in the domain and radii are truncated at 2
         assert np.all(np.abs(part.safety_centers) <= 1.0 + 1e-12)
@@ -356,14 +346,14 @@ def test_unit_ball_lattice_sites_distances_and_partition():
     # distinct lattice sites are at least one apart, so the capped distance
     # is one at every site, on the ball as on the cube
     assert np.all(config.minimal_distances() == eps / 4)
-    part = partition_lattice(config, 0.8)
+    part = partition_configuration(config, 0.8)
     assert verify_partition(config, part).ok
 
 
 def test_unit_ball_poisson_partition_and_covering():
     config = sample_configuration(ball_spec("poisson", 1 / 16, seed=2), 0)
     assert np.all(np.einsum("ij,ij->i", config.centers(), config.centers()) <= 1.0)
-    part = partition_poisson(config, 0.8)
+    part = partition_configuration(config, 0.8)
     report = verify_partition(config, part)
     assert report.ok, [c.detail for c in report.checks if not c.passed]
     cov = build_random_covering(config, 3)

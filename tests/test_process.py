@@ -306,6 +306,14 @@ def test_one_neighbour_search_in_the_package():
     assert users == ["index.py"]
 
 
+def test_one_poisson_draw_in_the_package():
+    # configurations and the Mecke check draw Poisson points in one place
+    src = Path(holelab.__file__).parent
+    calls = [path.name for path in sorted(src.glob("*.py"))
+             for _ in re.finditer(r"\.poisson\(", path.read_text())]
+    assert calls == ["process.py"]
+
+
 def test_no_unused_imports_in_the_package():
     # every name a module imports is used in it (__init__ only re-exports)
     src = Path(holelab.__file__).parent
@@ -360,6 +368,23 @@ def test_mecke_count_and_mark():
     rep2 = mecke_check(spec1, "truncated_mark", 3000)
     assert rep2.rhs == pytest.approx(3.0)         # E[rho^(d-2)] = 3, lambda|A| = 1
     assert abs(rep2.z_score) < 4
+
+
+def test_mecke_count_on_the_unit_ball():
+    # the window is drawn on the ball itself: spread over the bounding cube,
+    # the count in A falls to pi/6 of lambda * |A| (z = -9.6 here)
+    spec = ProcessSpec(d=3, epsilon=1 / 8, process="poisson",
+                       marks=MarkDistribution.pareto_for_beta(3, 2.0),
+                       domain=DomainDescriptor("unit_ball"), intensity=1.0, master_seed=7)
+    rep = mecke_check(spec, "count", 300)
+    assert rep.rhs == 1.0                         # lambda * |A|
+    assert abs(rep.z_score) < 4
+
+
+def test_mecke_refuses_fewer_than_two_trials():
+    spec = cube_spec("poisson", lam=1.0)
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        mecke_check(spec, "count", 1)
 
 
 def test_mecke_isolated_two_stage():
