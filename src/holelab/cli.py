@@ -91,6 +91,13 @@ def _spec_from(cfg: dict, args) -> ProcessSpec:
     return ProcessSpec.from_json(spec_obj)
 
 
+def _check_k(cfg: dict) -> None:
+    """Refuse a configured mesoscale multiplier that is not an integer >= 1."""
+    k = cfg.get("k")
+    if k is not None and (not isinstance(k, int) or k < 1):
+        raise ConfigError(f"k must be an integer >= 1, got {k!r}")
+
+
 def _workers(args) -> int:
     if args.workers is not None:
         return args.workers
@@ -121,7 +128,8 @@ def _cmd_sample(args, cfg):
 def _cmd_partition(args, cfg):
     spec = _spec_from(cfg, args)
     rep = cfg.get("replicate", 0)
-    delta = cfg.get("delta") or theoretical_exponents(spec.d, spec.marks.beta_eff).delta
+    delta = _delta_for(spec, cfg)
+    check_partition_scale(spec.d, spec.epsilon, delta, spec.process == "lattice")
     if args.dry_run:
         return 0, f"partition: would classify ~{spec.expected_points():.3g} points at delta={delta}"
     config = sample_configuration(spec, rep)
@@ -139,7 +147,8 @@ def _cmd_partition(args, cfg):
 def _cmd_corrector(args, cfg):
     spec = _spec_from(cfg, args)
     rep = cfg.get("replicate", 0)
-    delta = cfg.get("delta") or theoretical_exponents(spec.d, spec.marks.beta_eff).delta
+    delta = _delta_for(spec, cfg)
+    check_partition_scale(spec.d, spec.epsilon, delta, False)     # the delta range alone
     if args.dry_run:
         return 0, f"corrector: would build cells at delta={delta}"
     config = sample_configuration(spec, rep)
@@ -156,10 +165,13 @@ def _cmd_corrector(args, cfg):
 def _cmd_covering(args, cfg):
     spec = _spec_from(cfg, args)
     rep = cfg.get("replicate", 0)
-    k = cfg.get("k") or mesoscale_parameters(spec.d, spec.epsilon)[0]
+    _check_k(cfg)
+    k = mesoscale_parameters(spec.d, spec.epsilon)[0] if cfg.get("k") is None else cfg["k"]
     randomized = cfg.get("random", spec.process == "poisson")
     if randomized and spec.process == "lattice":
         raise ConfigError('"random": true needs a poisson spec; lattice sites use the cube tiling')
+    if randomized:
+        check_partition_scale(spec.d, spec.epsilon, _delta_for(spec, cfg), False)
     if args.dry_run:
         return 0, f"covering: would tile with k={k} (randomized={randomized})"
     config = sample_configuration(spec, rep)
@@ -190,9 +202,12 @@ def _cmd_rates(args, cfg):
     params = {"delta": cfg.get("delta"), "k": cfg.get("k"),
               "grid_n": cfg.get("grid_n", 65)}
     check_fit_design(grid, reps)
-    if quantity in ("bad_capacity", "det_rhs"):
+    _check_k(cfg)
+    if quantity != "overlap_pairs":
+        # every other quantity thins with delta; two of them also partition
+        partitions = quantity in ("bad_capacity", "det_rhs")
         check_partition_scale(spec.d, max(grid), _delta_for(spec, params),
-                              spec.process == "lattice")
+                              partitions and spec.process == "lattice")
     if args.dry_run:
         return 0, (f"rates: would run {quantity} over {len(grid)} epsilons x {reps}"
                    f" replicates ({_workers(args)} workers)")
@@ -253,6 +268,8 @@ def _cmd_mecke(args, cfg):
     if args.seed is not None:
         spec = dataclasses.replace(spec, master_seed=args.seed)
     trials = cfg.get("trials", 10000)
+    if trials < 2:
+        raise ConfigError("need at least 2 trials for a standard error")
     names = [cfg["functional"]] if "functional" in cfg else list(MECKE_FUNCTIONALS)
     if args.dry_run:
         return 0, f"mecke: would run {names} at {trials} trials"

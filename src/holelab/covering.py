@@ -66,19 +66,20 @@ class CubeCovering:
         """Tile-index offset: x/(k*eps) + shift falls in [m, m+1) on tile m."""
         return 0.0 if self.k % 2 == 0 else 0.5
 
-    def cell_of_points(self, x: np.ndarray) -> np.ndarray:
-        """Flat cell index for physical points (n, d), with tie-break and clamping.
+    def _axis_tiles(self, x: np.ndarray) -> np.ndarray:
+        """Per-axis tile index of coordinates x (..., d), clamped to the tiling.
 
         Points on a shared face belong to the smaller-anchor tile; the small
         tolerance makes that deterministic when the face coordinate is not
-        exactly representable (lattice sites routinely sit on faces).  Lattice
-        coverings evaluate the same expression per axis, on the 2m+1 axis
-        values, in ``build_cube_covering``.
+        exactly representable (lattice sites routinely sit on faces).
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        t = x / self.cell_size + self.shift
-        m = np.ceil(t - 1e-9).astype(np.int64) - 1 - self.m_lo
-        return np.ravel_multi_index(tuple(m.T), tuple(self.m_count), mode="clip")
+        m = np.ceil(x / self.cell_size + self.shift - 1e-9).astype(np.int64) - 1 - self.m_lo
+        return np.clip(m, 0, self.m_count - 1)
+
+    def cell_of_points(self, x: np.ndarray) -> np.ndarray:
+        """Flat cell index for physical points (n, d)."""
+        m = self._axis_tiles(np.atleast_2d(np.asarray(x, dtype=float)))
+        return np.ravel_multi_index(tuple(m.T), tuple(self.m_count))
 
     def csv_columns(self):
         vols = np.full(self.n_cells, self.cell_size ** self.m_lo.size)
@@ -117,10 +118,9 @@ def build_cube_covering(config: MarkedConfiguration, k: int) -> CubeCovering:
                        meets_domain=spec.domain.box_intersects(lo, hi),
                        point_cell=np.empty(0, dtype=np.int64))
     if config.is_lattice:
-        # cell_of_points on the 2m+1 axis values, clipped as mode="clip"
-        # does, raveled by outer sums and gathered by site key
-        t = eps * np.arange(-config.m, config.m + 1.0) / s + shift
-        axis = np.clip(np.ceil(t - 1e-9).astype(np.int64) - 1 - m_min, 0, rng.size - 1)
+        # tiles of the 2m+1 axis values, raveled by outer sums and gathered
+        # by site key
+        axis = cov._axis_tiles(eps * np.arange(-config.m, config.m + 1.0)[:, None])[:, 0]
         cells = np.zeros(1, dtype=np.int64)
         for _ in range(d):
             cells = np.add.outer(cells * rng.size, axis).ravel()
@@ -163,7 +163,6 @@ def trimmed_min_distances(config: MarkedConfiguration, covering: CubeCovering,
 @dataclass
 class RandomCovering:
     base: CubeCovering
-    delta: float
     kappa: float
     thinned: np.ndarray        # config indices carrying cubes
     tilde_r: np.ndarray
@@ -173,7 +172,6 @@ class RandomCovering:
     volumes: np.ndarray        # (n_cells,)
     inc_cell: np.ndarray       # incidence: cell index
     inc_point: np.ndarray      # incidence: position into `thinned`
-    inc_overlap: np.ndarray    # cube/tile overlap volume
     inc_own: np.ndarray        # bool: point assigned to this cell
 
     @property
@@ -208,64 +206,29 @@ def build_random_covering(config: MarkedConfiguration, k: int,
     cube_hi = x + half[:, None]
     cell_of = base.point_cell[thinned]
 
-    s = base.cell_size
-    shift = base.shift
-    n_cells = base.n_cells
-    volumes = np.full(n_cells, s ** d)
+    # per-axis tile ranges met by each cube (at most two tiles per axis)
+    s, shift = base.cell_size, base.shift
+    m_a = np.floor(cube_lo / s + shift).astype(np.int64)
+    span = np.ceil(cube_hi / s + shift).astype(np.int64) - 1 - m_a
+    if np.any(span > 1):
+        raise RuntimeError("a point cube spans more than two tiles per axis")
+    # (offset, point) pairs, offset-major: an offset enumerates a distinct
+    # tile only along axes the cube spans
+    offsets = np.indices((2,) * d).reshape(d, -1).T
+    o, inc_point = np.nonzero(np.all(offsets[:, None, :] <= span, axis=2))
+    m = m_a[inc_point] + offsets[o] - base.m_lo
+    inside = np.all((m >= 0) & (m < base.m_count), axis=1)
+    inc_point = inc_point[inside]
+    inc_cell = np.ravel_multi_index(tuple(m[inside].T), tuple(base.m_count))
+    overlap = np.prod(np.maximum(np.minimum(cube_hi[inc_point], base.hi[inc_cell])
+                                 - np.maximum(cube_lo[inc_point], base.lo[inc_cell]), 0.0),
+                      axis=1)
+    inc_own = inc_cell == cell_of[inc_point]
 
-    inc_cell, inc_point, inc_overlap, inc_own = [], [], [], []
-    if thinned.size:
-        # per-axis tile ranges met by each cube (at most two tiles per axis)
-        m_a = np.floor(cube_lo / s + shift).astype(np.int64)
-        m_b = np.ceil(cube_hi / s + shift).astype(np.int64) - 1
-        span = m_b - m_a
-        if np.any(span > 1):
-            raise RuntimeError("a point cube spans more than two tiles per axis")
-        combos = np.stack(np.meshgrid(*([np.arange(2)] * d), indexing="ij"),
-                          axis=-1).reshape(-1, d)
-        for combo in combos:
-            # a combo enumerates a distinct tile only along axes it spans
-            sel = np.all(combo[None, :] <= span, axis=1)
-            idx = np.flatnonzero(sel)
-            if idx.size == 0:
-                continue
-            m = m_a[idx] + combo[None, :]
-            inside = np.all((m >= base.m_lo) & (m < base.m_lo + base.m_count), axis=1)
-            idx = idx[inside]
-            if idx.size == 0:
-                continue
-            cells = np.ravel_multi_index(tuple((m[inside] - base.m_lo).T),
-                                         tuple(base.m_count))
-            tile_lo = base.lo[cells]
-            tile_hi = base.hi[cells]
-            over = np.prod(np.maximum(
-                np.minimum(cube_hi[idx], tile_hi) - np.maximum(cube_lo[idx], tile_lo), 0.0),
-                axis=1)
-            own = cells == cell_of[idx]
-            inc_cell.append(cells)
-            inc_point.append(idx)
-            inc_overlap.append(over)
-            inc_own.append(own)
-
-    if inc_cell:
-        inc_cell = np.concatenate(inc_cell)
-        inc_point = np.concatenate(inc_point)
-        inc_overlap = np.concatenate(inc_overlap)
-        inc_own = np.concatenate(inc_own)
-        cube_vol = (2.0 * half) ** d
-        np.add.at(volumes, inc_cell[inc_own], cube_vol[inc_point[inc_own]] - inc_overlap[inc_own])
-        np.subtract.at(volumes, inc_cell[~inc_own], inc_overlap[~inc_own])
-    else:
-        inc_cell = np.empty(0, dtype=np.int64)
-        inc_point = np.empty(0, dtype=np.int64)
-        inc_overlap = np.empty(0)
-        inc_own = np.empty(0, dtype=bool)
-
-    cov = RandomCovering(base=base, delta=delta, kappa=kappa, thinned=thinned,
-                         tilde_r=tr, cube_lo=cube_lo, cube_hi=cube_hi,
-                         cell_of=cell_of, volumes=volumes,
-                         inc_cell=inc_cell, inc_point=inc_point,
-                         inc_overlap=inc_overlap, inc_own=inc_own)
+    volumes = np.full(base.n_cells, s ** d)
+    cube_vol = (2.0 * half) ** d
+    np.add.at(volumes, inc_cell[inc_own], cube_vol[inc_point[inc_own]] - overlap[inc_own])
+    np.subtract.at(volumes, inc_cell[~inc_own], overlap[~inc_own])
     lo_b, hi_b = volume_bounds(k, eps, kappa, d)
     live = np.flatnonzero(base.meets_domain)
     v = volumes[live]
@@ -275,7 +238,10 @@ def build_random_covering(config: MarkedConfiguration, k: int,
         raise RuntimeError(
             f"cell {worst} volume outside [(k-eps^kappa)^d, (k+eps^kappa)^d] eps^d: "
             f"{volumes[worst]:.6g} vs [{lo_b:.6g}, {hi_b:.6g}]")
-    return cov
+    return RandomCovering(base=base, kappa=kappa, thinned=thinned, tilde_r=tr,
+                          cube_lo=cube_lo, cube_hi=cube_hi, cell_of=cell_of,
+                          volumes=volumes, inc_cell=inc_cell, inc_point=inc_point,
+                          inc_own=inc_own)
 
 
 def volume_bounds(k: int, epsilon: float, kappa: float, d: int):
@@ -293,7 +259,6 @@ class CoveringReport:
     overlap_violations: int
     dichotomy_violations: int
     n_cells: int
-    n_points: int
     detail: str = ""
 
     @property
@@ -342,6 +307,5 @@ def verify_random_covering(cov: RandomCovering) -> CoveringReport:
         q = np.concatenate([j[bad], i[bad]])
         dich_bad = int(np.count_nonzero(np.isin(own_cell[p] * t + q, foreign)))
 
-    return CoveringReport(vol_bad, overlap_bad, dich_bad,
-                          int(np.count_nonzero(live)), int(cov.thinned.size), detail)
+    return CoveringReport(vol_bad, overlap_bad, dich_bad, int(np.count_nonzero(live)), detail)
 

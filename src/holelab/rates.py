@@ -357,7 +357,7 @@ def evaluate_quantity(spec: ProcessSpec, quantity: str, replicate: int,
         part = partition_configuration(config, delta)
         return bad_capacity_sum(config, part)
 
-    k = params.get("k") or mesoscale_parameters(spec.d, spec.epsilon)[0]
+    k = mesoscale_parameters(spec.d, spec.epsilon)[0] if params.get("k") is None else params["k"]
     if quantity == "s_variance":
         cov = build_cube_covering(config, k) if config.is_lattice \
             else build_random_covering(config, k, delta)

@@ -153,7 +153,10 @@ def test_rates_design_refused_before_the_ensemble(tmp_path, capsys, design, dry_
     ({}, "epsilon=0.25 too large for delta=0.5"),
     ({"delta": 0.0, "spec": {"d": 3, "epsilon": 0.125, "process": "poisson", "lambda": 1.0,
                              "marks": {"kind": "pareto", "beta_eff": 2.0}}}, "delta must lie in"),
-], ids=["lattice_epsilon", "delta"])
+    # the quantities that thin without partitioning check the range alone
+    ({"quantity": "s_variance", "delta": 5.0}, "delta must lie in"),
+    ({"quantity": "hminus", "delta": 5.0}, "delta must lie in"),
+], ids=["lattice_epsilon", "delta", "s_variance_delta", "hminus_delta"])
 def test_rates_partition_scale_refused_before_the_ensemble(tmp_path, capsys, monkeypatch,
                                                            dry_run, extra, message):
     import holelab.cli as cli
@@ -167,6 +170,38 @@ def test_rates_partition_scale_refused_before_the_ensemble(tmp_path, capsys, mon
     captured = capsys.readouterr()
     assert code == 2 and message in captured.err
     assert "would run" not in captured.out
+    assert not out.exists()
+
+
+_POISSON = {"d": 3, "epsilon": 0.125, "process": "poisson", "lambda": 1.0,
+            "marks": {"kind": "pareto", "beta_eff": 0.5}}
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("command, config, message", [
+    # 0 is a value, not a request for the default; k counts whole epsilons
+    ("partition", {"delta": 0}, "delta must lie in"),
+    ("corrector", {"delta": 0}, "delta must lie in"),
+    ("covering", {"k": 0}, "k must be an integer >= 1"),
+    ("covering", {"k": 2.5}, "k must be an integer >= 1"),
+    ("covering", {"delta": 0, "spec": _POISSON}, "delta must lie in"),
+    ("rates", {"k": 0, "quantity": "s_variance", "replicates": 30,
+               "epsilon_grid": [1 / 8, 1 / 12, 1 / 16, 1 / 24]}, "k must be an integer >= 1"),
+    ("mecke", {"trials": 1}, "at least 2 trials"),
+], ids=["partition_delta", "corrector_delta", "covering_k", "covering_fractional_k",
+        "covering_delta", "rates_k", "mecke_trials"])
+def test_config_faults_refused_before_the_dry_run(tmp_path, capsys, monkeypatch, command,
+                                                  config, message, dry_run):
+    import holelab.cli as cli
+    for name in ("sample_configuration", "ensemble_run", "mecke_check"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("started the work"))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = run([command, "--config", str(cfg), "--out-dir", str(out)] + ["--dry-run"] * dry_run)
+    captured = capsys.readouterr()
+    assert code == 2 and message in captured.err
+    assert "would" not in captured.out
     assert not out.exists()
 
 

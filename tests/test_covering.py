@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -280,6 +281,78 @@ def test_random_covering_bounds_and_dichotomy():
         lo_b, hi_b = volume_bounds(3, 1 / 16, cov.kappa, 3)
         live = cov.base.meets_domain
         assert np.all(cov.volumes[live] >= lo_b) and np.all(cov.volumes[live] <= hi_b)
+
+
+def per_offset_incidences(cov):
+    """Incidences and volumes by one pass per tile offset, concatenated in
+    offset order (reference), with the count of tiles off the tiling."""
+    base, d = cov.base, cov.base.m_lo.size
+    s, shift = base.cell_size, base.shift
+    m_a = np.floor(cov.cube_lo / s + shift).astype(np.int64)
+    span = np.ceil(cov.cube_hi / s + shift).astype(np.int64) - 1 - m_a
+    inc_cell, inc_point, inc_overlap, inc_own, outside = [], [], [], [], 0
+    for combo in itertools.product(range(2), repeat=d):
+        idx = np.flatnonzero(np.all(np.array(combo) <= span, axis=1))
+        if idx.size == 0:
+            continue
+        m = m_a[idx] + combo
+        inside = np.all((m >= base.m_lo) & (m < base.m_lo + base.m_count), axis=1)
+        outside += int(np.count_nonzero(~inside))
+        idx = idx[inside]
+        if idx.size == 0:
+            continue
+        cells = np.ravel_multi_index(tuple((m[inside] - base.m_lo).T), tuple(base.m_count))
+        over = np.prod(np.maximum(np.minimum(cov.cube_hi[idx], base.hi[cells])
+                                  - np.maximum(cov.cube_lo[idx], base.lo[cells]), 0.0), axis=1)
+        inc_cell.append(cells)
+        inc_point.append(idx)
+        inc_overlap.append(over)
+        inc_own.append(cells == cov.cell_of[idx])
+    volumes = np.full(base.n_cells, s ** d)
+    if not inc_cell:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=bool), volumes, outside)
+    inc_cell, inc_point, inc_overlap, inc_own = map(
+        np.concatenate, (inc_cell, inc_point, inc_overlap, inc_own))
+    cube_vol = (4.0 * cov.tilde_r) ** d          # side twice the half-side 2 r~
+    np.add.at(volumes, inc_cell[inc_own], cube_vol[inc_point[inc_own]] - inc_overlap[inc_own])
+    np.subtract.at(volumes, inc_cell[~inc_own], inc_overlap[~inc_own])
+    return inc_cell, inc_point, inc_own, volumes, outside
+
+
+def assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("domain", [DomainDescriptor("axis_cube", 0.5),
+                                    DomainDescriptor("unit_ball")], ids=["cube", "ball"])
+def test_one_pass_incidences_match_the_per_offset_loop(domain, k):
+    spec = ProcessSpec(d=3, epsilon=1 / 16, process="poisson",
+                       marks=MarkDistribution.pareto_for_beta(3, 0.5), domain=domain,
+                       intensity=1.0, master_seed=2)
+    cov = build_random_covering(sample_configuration(spec, 0), k)
+    *want, outside = per_offset_incidences(cov)
+    for got, ref in zip((cov.inc_cell, cov.inc_point, cov.inc_own, cov.volumes), want):
+        assert_bit_equal(got, ref)
+    # cubes straddle tile faces; at even k the tiles end on the domain
+    # boundary and boundary cubes reach past the tiling
+    assert np.any(np.bincount(cov.inc_point) > 1)
+    assert outside > 0 or k % 2
+
+
+def test_one_pass_incidences_of_an_empty_configuration():
+    config = sample_configuration(spec_for("poisson", eps=1 / 16, half=0.5), 0)
+    config.points = np.empty((0, 3))
+    config.rho = np.empty(0)
+    config._index = config._min_dist = None
+    cov = build_random_covering(config, 3, delta=1.0)
+    *want, outside = per_offset_incidences(cov)
+    assert cov.thinned.size == 0 and outside == 0
+    for got, ref in zip((cov.inc_cell, cov.inc_point, cov.inc_own, cov.volumes), want):
+        assert_bit_equal(got, ref)
+    assert np.all(cov.volumes == (3 / 16) ** 3)
 
 
 def test_volume_error_reports_the_cell_farthest_outside():

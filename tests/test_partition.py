@@ -387,7 +387,7 @@ def pair_set(c, j):
 @pytest.mark.parametrize("eps", [1 / 8, 1 / 16], ids=["1/8", "1/16"])
 def test_lattice_neighbours_match_tree(shape, eps):
     config = sample_configuration(lattice_spec_for(shape, eps), 0)
-    coords = config.lattice_coords
+    coords = config.points.astype(np.int64)
     m = int(round(1 / eps))
     extent = np.abs(coords).max(axis=1)
     corners = np.flatnonzero(np.all(np.abs(coords) == np.abs(coords).max(), axis=1))
@@ -418,7 +418,7 @@ def test_lattice_site_keys_are_row_major(shape, eps):
     # neighbours() searches these keys, which the sampler hands over
     config = sample_configuration(lattice_spec_for(shape, eps), 0)
     m = int(round(1 / eps))
-    want = np.ravel_multi_index(tuple((config.lattice_coords + m).T), (2 * m + 1,) * 3)
+    want = np.ravel_multi_index(tuple((config.points.astype(np.int64) + m).T), (2 * m + 1,) * 3)
     assert np.array_equal(config.site_keys, want)
     assert np.all(np.diff(config.site_keys) > 0)
 
@@ -464,7 +464,7 @@ def test_lattice_partition_and_overlaps_match_tree(beta, monkeypatch):
 def test_planted_giant_hole_matches_tree(where, monkeypatch):
     eps = 1 / 16
     config = sample_configuration(lattice_spec_for("axis_cube", eps, seed=3), 0)
-    coords = config.lattice_coords
+    coords = config.points.astype(np.int64)
     site = np.flatnonzero(np.all(coords == (0 if where == "centre" else -16), axis=1))
     config.rho = config.rho.copy()
     config.rho[site] = 2.0 / config.spec.hole_scale       # truncated radius 1

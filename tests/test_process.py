@@ -132,7 +132,7 @@ def test_lattice_marks_hash_their_site(domain):
     spec = ProcessSpec(d=3, epsilon=1 / 8, process="lattice", marks=marks,
                        domain=DomainDescriptor(domain), master_seed=5)
     config = sample_configuration(spec, 2)
-    u = coordinate_uniforms(5, 2, config.lattice_coords)
+    u = coordinate_uniforms(5, 2, config.points.astype(np.int64))
     assert np.array_equal(config.rho, marks.quantile(u))
 
 
