@@ -12,6 +12,7 @@ from holelab import (DomainDescriptor, MarkDistribution, ProcessSpec,
                      mesoscale_parameters, sample_configuration,
                      verify_random_covering)
 from holelab.covering import volume_bounds
+from holelab.rates import resolve_delta
 
 eps = 1 / 16
 k, kappa = mesoscale_parameters(3, eps)
@@ -27,7 +28,8 @@ base = build_cube_covering(config, k)
 print(f"deterministic tiling: {base.n_cells} cells of side {base.cell_size:.4f}, "
       f"{int(np.count_nonzero(base.interior))} interior")
 
-cov = build_random_covering(config, k)
+# the retained points are thinned at the rate-optimal delta for these marks
+cov = build_random_covering(config, k, resolve_delta(spec))
 lo, hi = volume_bounds(k, eps, kappa, 3)
 print(f"randomized covering: {cov.thinned.size} point cubes absorbed")
 print(f"  cell volumes in [{cov.volumes.min():.6e}, {cov.volumes.max():.6e}]")

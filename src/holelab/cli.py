@@ -18,15 +18,16 @@ import numpy as np
 
 from . import __version__
 from .corrector import CorrectorField, build_capacity_measure, c0_constant, corrector_energy
-from .covering import (build_cube_covering, build_random_covering,
-                       mesoscale_parameters, verify_random_covering)
+from .covering import (build_cube_covering, build_random_covering, mesoscale_k,
+                       verify_random_covering)
 from .experiments import exponent_table, mecke_spec, periodic_hminus_rate
 from .io_utils import write_csv, write_field, write_json
 from .partition import check_partition_scale, partition_configuration, verify_partition
 from .pde import Grid, homogenization_error, homogenized_solve, solve_perforated
-from .process import MECKE_FUNCTIONALS, ProcessSpec, mecke_check, sample_configuration
-from .rates import (_delta_for, canonical_quantity, check_fit_design, ensemble_run,
-                    fit_rate, theoretical_exponents)
+from .process import (MECKE_FUNCTIONALS, ProcessSpec, check_delta, check_mecke_arguments,
+                      mecke_check, sample_configuration)
+from .rates import (check_fit_design, check_quantity, ensemble_run, fit_rate, resolve_delta,
+                    theoretical_exponents)
 
 logger = logging.getLogger("holelab")
 
@@ -91,13 +92,6 @@ def _spec_from(cfg: dict, args) -> ProcessSpec:
     return ProcessSpec.from_json(spec_obj)
 
 
-def _check_k(cfg: dict) -> None:
-    """Refuse a configured mesoscale multiplier that is not an integer >= 1."""
-    k = cfg.get("k")
-    if k is not None and (not isinstance(k, int) or k < 1):
-        raise ConfigError(f"k must be an integer >= 1, got {k!r}")
-
-
 def _workers(args) -> int:
     if args.workers is not None:
         return args.workers
@@ -128,7 +122,7 @@ def _cmd_sample(args, cfg):
 def _cmd_partition(args, cfg):
     spec = _spec_from(cfg, args)
     rep = cfg.get("replicate", 0)
-    delta = _delta_for(spec, cfg)
+    delta = resolve_delta(spec, cfg.get("delta"))
     check_partition_scale(spec.d, spec.epsilon, delta, spec.process == "lattice")
     if args.dry_run:
         return 0, f"partition: would classify ~{spec.expected_points():.3g} points at delta={delta}"
@@ -147,8 +141,8 @@ def _cmd_partition(args, cfg):
 def _cmd_corrector(args, cfg):
     spec = _spec_from(cfg, args)
     rep = cfg.get("replicate", 0)
-    delta = _delta_for(spec, cfg)
-    check_partition_scale(spec.d, spec.epsilon, delta, False)     # the delta range alone
+    delta = resolve_delta(spec, cfg.get("delta"))
+    check_delta(spec.d, delta)
     if args.dry_run:
         return 0, f"corrector: would build cells at delta={delta}"
     config = sample_configuration(spec, rep)
@@ -165,13 +159,13 @@ def _cmd_corrector(args, cfg):
 def _cmd_covering(args, cfg):
     spec = _spec_from(cfg, args)
     rep = cfg.get("replicate", 0)
-    _check_k(cfg)
-    k = mesoscale_parameters(spec.d, spec.epsilon)[0] if cfg.get("k") is None else cfg["k"]
+    k = mesoscale_k(spec, cfg.get("k"))
     randomized = cfg.get("random", spec.process == "poisson")
     if randomized and spec.process == "lattice":
         raise ConfigError('"random": true needs a poisson spec; lattice sites use the cube tiling')
+    delta = resolve_delta(spec, cfg.get("delta"))
     if randomized:
-        check_partition_scale(spec.d, spec.epsilon, _delta_for(spec, cfg), False)
+        check_delta(spec.d, delta)
     if args.dry_run:
         return 0, f"covering: would tile with k={k} (randomized={randomized})"
     config = sample_configuration(spec, rep)
@@ -179,7 +173,7 @@ def _cmd_covering(args, cfg):
               "volume", "n_points", "is_interior"]
     path = _out(args, "covering.csv")
     if randomized:
-        cov = build_random_covering(config, k, cfg.get("delta"))
+        cov = build_random_covering(config, k, delta)
         report = verify_random_covering(cov)
         write_csv(path, header, cov.csv_columns())
         summary = (f"covering: {report.n_cells} cells, violations "
@@ -196,18 +190,13 @@ def _cmd_covering(args, cfg):
 
 def _cmd_rates(args, cfg):
     spec = _spec_from(cfg, args)
-    quantity = canonical_quantity(cfg.get("quantity", "bad_capacity"))
+    quantity = cfg.get("quantity", "bad_capacity")
     grid = cfg.get("epsilon_grid", [1 / 8, 1 / 16, 1 / 32, 1 / 64])
     reps = cfg.get("replicates", 50)
     params = {"delta": cfg.get("delta"), "k": cfg.get("k"),
               "grid_n": cfg.get("grid_n", 65)}
+    check_quantity(spec, quantity, grid, params)
     check_fit_design(grid, reps)
-    _check_k(cfg)
-    if quantity != "overlap_pairs":
-        # every other quantity thins with delta; two of them also partition
-        partitions = quantity in ("bad_capacity", "det_rhs")
-        check_partition_scale(spec.d, max(grid), _delta_for(spec, params),
-                              partitions and spec.process == "lattice")
     if args.dry_run:
         return 0, (f"rates: would run {quantity} over {len(grid)} epsilons x {reps}"
                    f" replicates ({_workers(args)} workers)")
@@ -244,6 +233,7 @@ def _cmd_solve(args, cfg):
     rep = cfg.get("replicate", 0)
     n = cfg.get("grid_n", 65)
     delta = cfg.get("delta", 1.0)
+    check_delta(spec.d, delta)
     if args.dry_run:
         return 0, f"solve: would rasterise and solve on a {n}^3 grid"
     rtol = cfg.get("rtol", 1e-8)
@@ -268,9 +258,9 @@ def _cmd_mecke(args, cfg):
     if args.seed is not None:
         spec = dataclasses.replace(spec, master_seed=args.seed)
     trials = cfg.get("trials", 10000)
-    if trials < 2:
-        raise ConfigError("need at least 2 trials for a standard error")
     names = [cfg["functional"]] if "functional" in cfg else list(MECKE_FUNCTIONALS)
+    for name in names:
+        check_mecke_arguments(spec, name, trials)
     if args.dry_run:
         return 0, f"mecke: would run {names} at {trials} trials"
     reports = [mecke_check(spec, name, trials) for name in names]
@@ -285,9 +275,9 @@ def _cmd_mecke(args, cfg):
 
 
 def _cmd_exponents(args, cfg):
-    d = cfg.get("d", args.d or 3)
-    beta = cfg.get("beta", args.beta if args.beta is not None else 0.5)
-    epsilon = cfg.get("epsilon", args.epsilon)
+    d = args.d if args.d is not None else cfg.get("d", 3)
+    beta = args.beta if args.beta is not None else cfg.get("beta", 0.5)
+    epsilon = args.epsilon if args.epsilon is not None else cfg.get("epsilon")
     table = exponent_table(d, beta, epsilon)
     if not args.dry_run:
         write_json(_out(args, "exponents.json"), table)

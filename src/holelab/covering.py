@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .index import SpatialIndex
-from .process import MarkedConfiguration, thin_configuration
+from .process import MarkedConfiguration, ProcessSpec, thin_configuration
 
 
 def mesoscale_parameters(d: int, epsilon: float):
@@ -30,6 +30,19 @@ def mesoscale_parameters(d: int, epsilon: float):
         raise ValueError(f"epsilon={epsilon} too large for the mesoscopic regime (k = 0)")
     kappa = 2.0 / ((d - 1) * (d + 2))
     return k, kappa
+
+
+def mesoscale_k(spec: ProcessSpec, k: Optional[int] = None) -> int:
+    """The cell multiplier at the spec's epsilon: k, by default the mesoscale
+    of ``mesoscale_parameters``.  Refuses a k that is not an integer >= 1 and
+    cells of side k*eps larger than the domain radius."""
+    if k is None:
+        k = mesoscale_parameters(spec.d, spec.epsilon)[0]
+    elif not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    if k * spec.epsilon > spec.domain.radius:
+        raise ValueError(f"cell size k*eps = {k * spec.epsilon} exceeds the domain scale")
+    return k
 
 
 @dataclass
@@ -96,11 +109,8 @@ def build_cube_covering(config: MarkedConfiguration, k: int) -> CubeCovering:
     """Tile the domain with cubes of side k*epsilon and assign every point."""
     spec = config.spec
     d, eps = spec.d, spec.epsilon
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    mesoscale_k(spec, k)
     s, w = k * eps, spec.domain.radius
-    if s > w:
-        raise ValueError(f"cell size k*eps = {s} exceeds the domain scale")
     shift = 0.0 if k % 2 == 0 else 0.5
     # per-axis tile indices whose open tile meets (-w, w)
     m_min = math.floor(-w / s - 1 + shift) + 1
@@ -183,19 +193,15 @@ class RandomCovering:
 
 
 def build_random_covering(config: MarkedConfiguration, k: int,
-                          delta: Optional[float] = None) -> RandomCovering:
+                          delta: float) -> RandomCovering:
     """Randomized covering with exact cell volumes.
 
-    The retained points are the thinned set for ``delta`` (default: the
-    rate-optimal exponent for the configured marks).  Volumes come from
-    box arithmetic; a violated volume bound raises, since it indicates a
-    construction bug rather than unlucky data.
+    The retained points are the thinned set for ``delta``.  Volumes come
+    from box arithmetic; a violated volume bound raises, since it indicates
+    a construction bug rather than unlucky data.
     """
     spec = config.spec
     d, eps = spec.d, spec.epsilon
-    if delta is None:
-        from .rates import theoretical_exponents
-        delta = theoretical_exponents(d, spec.marks.beta_eff).delta
     _, kappa = mesoscale_parameters(d, eps)
     base = build_cube_covering(config, k)
     thinned = thin_configuration(config, delta)

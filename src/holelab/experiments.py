@@ -15,13 +15,14 @@ from scipy.integrate import quad
 
 from .corrector import (CorrectorField, annulus_capacity, annulus_capacity_fd,
                         build_capacity_measure, c0_constant)
-from .covering import build_random_covering, mesoscale_parameters, verify_random_covering
+from .covering import (build_random_covering, mesoscale_k, mesoscale_parameters,
+                       verify_random_covering)
 from .domain import DomainDescriptor
 from .marks import MarkDistribution
 from .pde import Grid, homogenization_error, homogenized_solve, solve_perforated
 from .process import MECKE_FUNCTIONALS, ProcessSpec, mecke_check, sample_configuration
 from .rates import (EnsembleStat, RateFit, ensemble_run, expected_overlap_pairs,
-                    fit_loglog, fit_rate, theoretical_exponents)
+                    fit_loglog, fit_rate, resolve_delta, theoretical_exponents)
 
 DEFAULT_SEED = 20240501
 
@@ -167,8 +168,7 @@ class OverlapResult:
 
 
 def overlap_experiment(beta: float = 0.5, epsilons=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
-                       replicates: int = 200, seed: int = DEFAULT_SEED,
-                       workers: int = 1) -> OverlapResult:
+                       replicates: int = 200, seed: int = DEFAULT_SEED) -> OverlapResult:
     """Mean overlap-pair count against the exact-law prediction.
 
     The registered target is the slope of the expected pair count over the
@@ -193,7 +193,7 @@ def overlap_experiment(beta: float = 0.5, epsilons=(1 / 8, 1 / 16, 1 / 32, 1 / 6
     predicted, _, _ = fit_loglog(epsilons, expected)
     raw = [expected_overlap_pairs(spec, eps) for eps in epsilons]
     raw_slope, _, _ = fit_loglog(epsilons, raw)
-    stat = ensemble_run(spec, "overlap_pairs", epsilons, replicates, workers=workers)
+    stat = ensemble_run(spec, "overlap_pairs", epsilons, replicates)
     theo = theoretical_exponents(3, beta, marks)
     fit = fit_rate(stat, target=predicted, tolerance=0.2)
     return OverlapResult(stat, fit, predicted, raw_slope, expected,
@@ -213,14 +213,13 @@ class BadCapacityResult:
 
 def bad_capacity_experiment(beta: float = 0.5, delta: float = 0.8,
                             epsilons=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
-                            replicates: int = 200, seed: int = DEFAULT_SEED,
-                            workers: int = 1) -> BadCapacityResult:
+                            replicates: int = 200, seed: int = DEFAULT_SEED) -> BadCapacityResult:
     """Annealed decay of the bad-hole capacity sum against the lower bound
     (2/(d-2) - delta) * beta - 0.15 on the fitted slope."""
     marks = MarkDistribution.pareto_for_beta(3, beta)
     spec = lattice_spec(marks, seed=seed)
     stat = ensemble_run(spec, "bad_capacity", epsilons, replicates,
-                        params={"delta": delta}, workers=workers)
+                        params={"delta": delta})
     threshold = (2.0 / (3 - 2) - delta) * beta - 0.15
     fit = fit_rate(stat, target=(2.0 / (3 - 2) - delta) * beta, tolerance=0.15)
     return BadCapacityResult(stat, fit, threshold)
@@ -258,8 +257,7 @@ class VarianceScalingResult:
 
 def variance_scaling_experiment(k_values=(4, 8, 16), replicates: int = 500,
                                 epsilon: float = 1 / 64, delta: float = 1.0,
-                                seed: int = DEFAULT_SEED,
-                                workers: int = 1) -> VarianceScalingResult:
+                                seed: int = DEFAULT_SEED) -> VarianceScalingResult:
     """k^d-scaling of the interior cell-average variance for bounded marks.
 
     delta = 1 keeps the thinning vacuous at this epsilon, so the cell sums
@@ -271,7 +269,7 @@ def variance_scaling_experiment(k_values=(4, 8, 16), replicates: int = 500,
     ratios = []
     for k in k_values:
         stat = ensemble_run(spec, "s_variance", [epsilon], replicates,
-                            params={"delta": delta, "k": k}, workers=workers)
+                            params={"delta": delta, "k": k})
         ratios.append(float(stat.means()[0]) * k ** 3 / var_y)
     return VarianceScalingResult(list(k_values), ratios, var_y)
 
@@ -322,11 +320,11 @@ def covering_soundness_experiment(replicates: int = 100, epsilon: float = 1 / 16
     """Volume bounds and the sphere dichotomy on randomized coverings."""
     marks = MarkDistribution.pareto_for_beta(3, beta)
     spec = poisson_spec(marks, intensity=1.0, epsilon=epsilon, seed=seed)
-    k, _ = mesoscale_parameters(3, epsilon)
+    k, delta = mesoscale_k(spec), resolve_delta(spec)
     vol = over = dich = cells = 0
     for rep in range(replicates):
         config = sample_configuration(spec, rep)
-        cov = build_random_covering(config, k)
+        cov = build_random_covering(config, k, delta)
         report = verify_random_covering(cov)
         vol += report.volume_violations
         over += report.overlap_violations
@@ -347,8 +345,8 @@ class SurrogateRateResult:
 
 def surrogate_rate_experiment(betas=(0.5, 2.0),
                               epsilons=(1 / 8, 1 / 12, 1 / 16, 1 / 24, 1 / 32, 1 / 48, 1 / 64),
-                              replicates: int = 40, seed: int = DEFAULT_SEED,
-                              workers: int = 1) -> SurrogateRateResult:
+                              replicates: int = 40,
+                              seed: int = DEFAULT_SEED) -> SurrogateRateResult:
     """Decay of the ensemble-mean quenched error surrogate per mark tail."""
     fits, thresholds = {}, {}
     for beta in betas:
@@ -356,7 +354,7 @@ def surrogate_rate_experiment(betas=(0.5, 2.0),
         spec = lattice_spec(marks, seed=seed)
         theo = theoretical_exponents(3, beta, marks)
         stat = ensemble_run(spec, "det_rhs", epsilons, replicates,
-                            params={"delta": theo.delta}, workers=workers)
+                            params={"delta": theo.delta})
         fits[beta] = fit_rate(stat, theo=theo, tolerance=0.15)
         thresholds[beta] = min(3.0 * beta / 5.0, 3.0 / 5.0) - 0.15
     return SurrogateRateResult(fits, thresholds)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .process import MarkedConfiguration
+from .process import MarkedConfiguration, check_delta
 
 
 @dataclass
@@ -62,8 +62,7 @@ def _contagion(config: MarkedConfiguration, core: np.ndarray, a: np.ndarray,
 def check_partition_scale(d: int, epsilon: float, delta: float, lattice: bool) -> None:
     """Refuse a delta outside (0, 2/(d-2)] and, on the lattice, an epsilon
     with eps^delta >= 1/4: the decomposition does not cover them."""
-    if not 0 < delta <= 2.0 / (d - 2):
-        raise ValueError("delta must lie in (0, 2/(d-2)]")
+    check_delta(d, delta)
     if lattice and epsilon ** delta >= 0.25:
         raise ValueError(
             f"epsilon={epsilon} too large for delta={delta}; "

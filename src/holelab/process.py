@@ -140,13 +140,8 @@ class MarkedConfiguration:
         """Rescaled centres of the points idx (all points by default)."""
         return self._sites(idx).astype(float) if self.is_lattice else self._points[idx]
 
-    def _set_points(self, value: np.ndarray):
-        if self.is_lattice:
-            raise AttributeError("lattice points are derived from site_keys")
-        self._points = value
-
     lattice_coords = property(_sites)
-    points = property(rescaled, _set_points)
+    points = property(rescaled)
 
     def centers(self, idx=slice(None)) -> np.ndarray:
         """Physical hole centres of the points idx (rescaled back by epsilon)."""
@@ -251,6 +246,12 @@ def _poisson_draw(spec: ProcessSpec, gen: np.random.Generator):
     return pts, spec.marks.quantile(gen.random(n))
 
 
+def check_delta(d: int, delta: float) -> None:
+    """Refuse a thinning exponent outside (0, 2/(d-2)]."""
+    if not 0 < delta <= 2.0 / (d - 2):
+        raise ValueError("delta must lie in (0, 2/(d-2)]")
+
+
 def thin_configuration(config: MarkedConfiguration, delta: float) -> np.ndarray:
     """Indices of points whose hole is both small and well separated.
 
@@ -259,8 +260,7 @@ def thin_configuration(config: MarkedConfiguration, delta: float) -> np.ndarray:
     exactly the points around which disjoint corrector annuli fit.
     """
     d = config.spec.d
-    if not 0 < delta <= 2.0 / (d - 2):
-        raise ValueError("delta must lie in (0, 2/(d-2)]")
+    check_delta(d, delta)
     eps = config.spec.epsilon
     a = config.hole_radii()
     r = config.minimal_distances()
@@ -288,6 +288,21 @@ class MeckeReport:
 
 
 MECKE_FUNCTIONALS = ("count", "truncated_mark", "isolated_mark")
+_MECKE_HALF_WIDTH = 0.5        # of the rescaled test cube A
+
+
+def check_mecke_arguments(spec: ProcessSpec, functional: str, trials: int) -> None:
+    """Refuse what ``mecke_check`` cannot test: a lattice spec, fewer than 2
+    trials (no standard error), an unknown functional, or a sampling window
+    reaching less than one rescaled unit beyond the test cube."""
+    if spec.process != "poisson":
+        raise ValueError("the exchange identity is specific to the poisson process")
+    if trials < 2:
+        raise ValueError("need at least 2 trials for a standard error")
+    if functional not in MECKE_FUNCTIONALS:
+        raise ValueError(f"unknown functional {functional!r}; choose from {MECKE_FUNCTIONALS}")
+    if spec.domain.radius / spec.epsilon < _MECKE_HALF_WIDTH + 1.0:
+        raise ValueError("sampling window too small for an edge-free test region")
 
 
 def mecke_check(spec: ProcessSpec, functional: str, trials: int) -> MeckeReport:
@@ -302,24 +317,15 @@ def mecke_check(spec: ProcessSpec, functional: str, trials: int) -> MeckeReport:
     ``sample_configuration`` does, from one generator per side shared
     across the trials.
     """
-    if spec.process != "poisson":
-        raise ValueError("the exchange identity is specific to the poisson process")
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
-    if functional not in MECKE_FUNCTIONALS:
-        raise ValueError(f"unknown functional {functional!r}; choose from {MECKE_FUNCTIONALS}")
-    d, eps = spec.d, spec.epsilon
-    a_half_width, trunc = 0.5, 10.0
-    window = spec.domain.radius / spec.epsilon
-    if window < a_half_width + 1.0:
-        raise ValueError("sampling window too small for an edge-free test region")
-    vol_a = (2.0 * a_half_width) ** d
+    check_mecke_arguments(spec, functional, trials)
+    d, eps, trunc = spec.d, spec.epsilon, 10.0
+    vol_a = (2.0 * _MECKE_HALF_WIDTH) ** d
 
     gen = replicate_generator(spec.master_seed, 0xA11CE)
     samples = np.empty(trials)
     for t in range(trials):
         pts, rho = _poisson_draw(spec, gen)
-        in_a = np.flatnonzero(np.max(np.abs(pts), axis=1) <= a_half_width)
+        in_a = np.flatnonzero(np.max(np.abs(pts), axis=1) <= _MECKE_HALF_WIDTH)
         if functional == "count":
             samples[t] = in_a.size
             continue

@@ -21,10 +21,10 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .corrector import CorrectorField, build_capacity_measure, c0_constant
-from .covering import (RandomCovering, build_cube_covering, build_random_covering,
-                       mesoscale_parameters)
+from .covering import RandomCovering, build_cube_covering, build_random_covering, mesoscale_k
 from .marks import MarkDistribution
-from .partition import bad_capacity_sum, overlap_pairs, partition_configuration
+from .partition import (bad_capacity_sum, check_partition_scale, overlap_pairs,
+                        partition_configuration)
 from .process import MarkedConfiguration, ProcessSpec, sample_configuration, thin_configuration
 
 logger = logging.getLogger(__name__)
@@ -304,19 +304,6 @@ def quenched_error_surrogate(config: MarkedConfiguration, partition, covering,
 # ----------------------------------------------------------------------
 
 QUANTITIES = ("bad_capacity", "overlap_pairs", "s_variance", "det_rhs", "hminus")
-_ALIASES = {
-    "bad_capacity_sum": "bad_capacity",
-    "S_variance": "s_variance",
-    "det_estimate_rhs": "det_rhs",
-    "mu_hminus": "hminus",
-}
-
-
-def canonical_quantity(name: str) -> str:
-    name = _ALIASES.get(name, name)
-    if name not in QUANTITIES:
-        raise ValueError(f"unknown quantity {name!r}; choose from {QUANTITIES}")
-    return name
 
 
 @dataclass
@@ -338,42 +325,53 @@ class EnsembleStat:
                 np.tile(np.arange(self.replicates), len(self.epsilon_grid)), self.samples.ravel())
 
 
-def _delta_for(spec: ProcessSpec, params: dict) -> float:
-    if params.get("delta") is not None:
-        return params["delta"]
-    return theoretical_exponents(spec.d, spec.marks.beta_eff).delta
+def resolve_delta(spec: ProcessSpec, delta: Optional[float] = None) -> float:
+    """delta, by default the rate-optimal thinning exponent for the spec's marks."""
+    return theoretical_exponents(spec.d, spec.marks.beta_eff).delta if delta is None else delta
+
+
+def check_quantity(spec: ProcessSpec, quantity: str, epsilon_grid, params: dict) -> None:
+    """Refuse from the arguments alone what ``evaluate_quantity`` would refuse
+    at some epsilon of the grid: an unknown quantity, then the delta (and, for
+    lattice partitions, the epsilon) and the k of the quantities that use them."""
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
+    if quantity == "overlap_pairs":
+        return
+    delta = resolve_delta(spec, params.get("delta"))
+    partitions = quantity in ("bad_capacity", "det_rhs") and spec.process == "lattice"
+    for eps in epsilon_grid:
+        check_partition_scale(spec.d, eps, delta, partitions)
+        if quantity in ("s_variance", "det_rhs"):
+            mesoscale_k(spec.with_epsilon(eps), params.get("k"))
 
 
 def evaluate_quantity(spec: ProcessSpec, quantity: str, replicate: int,
                       params: dict) -> float:
     """One replicate of one monitored statistic (the ensemble worker)."""
-    quantity = canonical_quantity(quantity)
+    check_quantity(spec, quantity, [spec.epsilon], params)
     config = sample_configuration(spec, replicate)
     if quantity == "overlap_pairs":
         return float(overlap_pairs(config))
 
-    delta = _delta_for(spec, params)
-    if quantity == "bad_capacity":
+    delta = resolve_delta(spec, params.get("delta"))
+    if quantity in ("bad_capacity", "det_rhs"):
         part = partition_configuration(config, delta)
+    if quantity == "bad_capacity":
         return bad_capacity_sum(config, part)
 
-    k = mesoscale_parameters(spec.d, spec.epsilon)[0] if params.get("k") is None else params["k"]
-    if quantity == "s_variance":
+    if quantity in ("s_variance", "det_rhs"):
+        k = mesoscale_k(spec, params.get("k"))
         cov = build_cube_covering(config, k) if config.is_lattice \
             else build_random_covering(config, k, delta)
+        if quantity == "det_rhs":
+            return quenched_error_surrogate(config, part, cov, delta, k)
         base = cov.base if isinstance(cov, RandomCovering) else cov
         s_vals = cell_capacity_averages(config, cov, delta)
         interior = base.interior & base.meets_domain
         if not np.any(interior):
             raise RuntimeError("no interior cells; enlarge the domain or reduce k*eps")
-        center = density_centering(spec)
-        return float(np.mean((s_vals[interior] - center) ** 2))
-
-    if quantity == "det_rhs":
-        part = partition_configuration(config, delta)
-        cov = build_cube_covering(config, k) if config.is_lattice \
-            else build_random_covering(config, k, delta)
-        return quenched_error_surrogate(config, part, cov, delta, k)
+        return float(np.mean((s_vals[interior] - density_centering(spec)) ** 2))
 
     # quantity == "hminus": grid dual norm of the capacity density mismatch
     from .pde import Grid, deposit_measure, hminus_norm
@@ -399,12 +397,13 @@ def ensemble_run(spec: ProcessSpec, quantity: str, epsilon_grid, replicates: int
                  params: Optional[dict] = None, workers: int = 1) -> EnsembleStat:
     """Run one statistic over the epsilon grid with deterministic seeds.
 
+    Arguments ``check_quantity`` refuses raise before any replicate runs.
     Per-replicate failures are recorded; more than 1% of failed jobs aborts
     the run.  Failed entries are filled with NaN and excluded from means.
     """
-    quantity = canonical_quantity(quantity)
     params = dict(params or {})
     epsilon_grid = list(epsilon_grid)
+    check_quantity(spec, quantity, epsilon_grid, params)
     jobs = [(spec.to_json(), quantity, eps, r, params)
             for eps in epsilon_grid for r in range(replicates)]
     results = np.full(len(jobs), np.nan)

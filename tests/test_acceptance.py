@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from holelab import (MarkDistribution, ProcessSpec, SpatialIndex,
+from holelab import (MarkDistribution, MarkedConfiguration, ProcessSpec, SpatialIndex,
                      fit_loglog, sample_configuration, theoretical_exponents)
 from holelab.covering import mesoscale_parameters
 from holelab.experiments import (bad_capacity_experiment, capacity_oracle_check,
@@ -195,9 +195,8 @@ def test_criterion_12_property_suites():
         spec = make_spec(proc, epsilon=0.125, marks=marks, seed=seed, half=0.5)
         config = sample_configuration(spec, seed)
         if len(config) < 2 or len(config) > 1000:
-            config.points = config.points[:1000]
-            config.rho = config.rho[:1000]
-            config._index = config._min_dist = None
+            config = MarkedConfiguration(spec, seed, config.rho[:1000],
+                                         points=config.points[:1000])
         part = partition_configuration(config, 0.8)
         got = classes_of(part, len(config))
         want = oracle_classes(oracle_partition(config, 0.8), len(config))

@@ -30,6 +30,28 @@ def test_exponents_values(tmp_path, capsys):
         assert json.load(fh)["delta"] == pytest.approx(0.8)
 
 
+def test_exponents_flags_override_config_keys(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"d": 3, "beta": 0.5}))
+    code = run(["exponents", "--config", str(cfg), "--d", "4", "--beta", "2.0",
+                "--out-dir", str(tmp_path)])
+    payload = json.loads(capsys.readouterr().out.split("exponents: ")[1])
+    assert code == 0
+    assert payload["delta"] == pytest.approx(1 / 3)       # 4/(d^2-4) at d = 4
+    assert payload["rate"] == pytest.approx(2 / 3)        # d*beta/(d^2-4)
+    with open(tmp_path / "exponents.json") as fh:
+        table = json.load(fh)
+    assert (table["d"], table["beta"]) == (4, 2.0)
+
+
+def test_exponents_refuses_d_0(tmp_path, capsys):
+    # 0 is a value, not a request for the default d = 3
+    out = tmp_path / "out"
+    code = run(["exponents", "--d", "0", "--out-dir", str(out)])
+    assert code == 2 and "d must be >= 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"replicate": 0, "bogus_key": 1}))
@@ -175,6 +197,9 @@ def test_rates_partition_scale_refused_before_the_ensemble(tmp_path, capsys, mon
 
 _POISSON = {"d": 3, "epsilon": 0.125, "process": "poisson", "lambda": 1.0,
             "marks": {"kind": "pareto", "beta_eff": 0.5}}
+_LATTICE_HALF = {"d": 3, "epsilon": 0.125, "process": "lattice",
+                 "marks": {"kind": "pareto", "beta_eff": 0.5},
+                 "domain": {"shape": "axis_cube", "half_width": 0.5}}
 
 
 @pytest.mark.parametrize("dry_run", [False, True])
@@ -187,9 +212,22 @@ _POISSON = {"d": 3, "epsilon": 0.125, "process": "poisson", "lambda": 1.0,
     ("covering", {"delta": 0, "spec": _POISSON}, "delta must lie in"),
     ("rates", {"k": 0, "quantity": "s_variance", "replicates": 30,
                "epsilon_grid": [1 / 8, 1 / 12, 1 / 16, 1 / 24]}, "k must be an integer >= 1"),
+    # cells of side k*eps = 9/8 on a domain of radius 1/2
+    ("covering", {"k": 9, "spec": _LATTICE_HALF}, "k*eps = 1.125 exceeds the domain scale"),
+    ("rates", {"k": 9, "spec": _LATTICE_HALF, "quantity": "s_variance", "replicates": 30,
+               "epsilon_grid": [1 / 8, 1 / 12, 1 / 16, 1 / 24]},
+     "k*eps = 1.125 exceeds the domain scale"),
+    ("rates", {"quantity": "nope"}, "unknown quantity 'nope'"),
+    ("solve", {"delta": 0}, "delta must lie in"),
     ("mecke", {"trials": 1}, "at least 2 trials"),
+    ("mecke", {"spec": _LATTICE_HALF, "functional": "nope"}, "specific to the poisson process"),
+    ("mecke", {"functional": "nope"}, "unknown functional 'nope'"),
+    ("mecke", {"spec": dict(_POISSON, domain={"shape": "axis_cube", "half_width": 0.1})},
+     "sampling window too small"),
 ], ids=["partition_delta", "corrector_delta", "covering_k", "covering_fractional_k",
-        "covering_delta", "rates_k", "mecke_trials"])
+        "covering_delta", "rates_k", "covering_oversized_k", "rates_oversized_k",
+        "rates_quantity", "solve_delta", "mecke_trials", "mecke_lattice",
+        "mecke_functional", "mecke_window"])
 def test_config_faults_refused_before_the_dry_run(tmp_path, capsys, monkeypatch, command,
                                                   config, message, dry_run):
     import holelab.cli as cli
@@ -367,7 +405,7 @@ def test_covering_guard_catches_a_planted_violation(tmp_path, capsys, monkeypatc
     import holelab.cli as cli
     real = cli.build_random_covering
 
-    def cube_shifted_onto_a_foreign_cube(config, k, delta=None):
+    def cube_shifted_onto_a_foreign_cube(config, k, delta):
         cov = real(config, k, delta)
         cov.cube_lo[0], cov.cube_hi[0] = cov.cube_lo[1], cov.cube_hi[1]
         return cov

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from holelab import (DomainDescriptor, MarkDistribution, ProcessSpec,
+from holelab import (DomainDescriptor, MarkDistribution, MarkedConfiguration, ProcessSpec,
                      build_cube_covering, build_random_covering,
                      mesoscale_parameters, sample_configuration,
                      verify_random_covering)
@@ -191,9 +191,7 @@ def test_trimmed_distance_branches():
     # dyadic shell n = 2
     pts.append(np.array([lo[0] + 3.0 * base, lo[1] + side / 2, lo[2] + side / 2]))
     wants.append("shell2")
-    config.points = np.array(pts) / eps
-    config.rho = np.full(len(pts), 1.0)
-    config._index = config._min_dist = None
+    config = MarkedConfiguration(spec, 0, np.full(len(pts), 1.0), points=np.array(pts) / eps)
     cov2 = build_cube_covering(config, k)
     r = config.minimal_distances()
     tr = trimmed_min_distances(config, cov2, np.arange(len(pts)), kappa)
@@ -243,9 +241,8 @@ def test_random_covering_no_boundary_points_identity():
     cov0 = build_cube_covering(config, k)
     centers = (cov0.lo + cov0.hi) / 2.0
     inside = cov0.meets_domain
-    config.points = centers[inside] / eps
-    config.rho = np.full(config.points.shape[0], 1e-4)
-    config._index = config._min_dist = None
+    config = MarkedConfiguration(spec, 0, np.full(np.count_nonzero(inside), 1e-4),
+                                 points=centers[inside] / eps)
     cov = build_random_covering(config, k, delta=1.0)
     assert np.allclose(cov.volumes, (k * eps) ** 3, rtol=1e-12)
 
@@ -261,9 +258,7 @@ def test_random_covering_volume_conservation_across_face():
     face_x = cov0.hi[cell][0]
     point = np.array([face_x - 1e-5, (cov0.lo[cell][1] + cov0.hi[cell][1]) / 2,
                       (cov0.lo[cell][2] + cov0.hi[cell][2]) / 2])
-    config.points = point[None, :] / eps
-    config.rho = np.array([1e-4])
-    config._index = config._min_dist = None
+    config = MarkedConfiguration(spec, 0, np.array([1e-4]), points=point[None, :] / eps)
     cov = build_random_covering(config, k, delta=1.0)
     total = cov.volumes.sum()
     assert total == pytest.approx(cov.base.n_cells * (k * eps) ** 3, rel=1e-12)
@@ -275,7 +270,7 @@ def test_random_covering_bounds_and_dichotomy():
     for seed in range(10):
         spec = spec_for("poisson", eps=1 / 16, marks=marks, seed=seed)
         config = sample_configuration(spec, seed)
-        cov = build_random_covering(config, 3)
+        cov = build_random_covering(config, 3, 0.8)
         report = verify_random_covering(cov)
         assert report.ok, report.detail
         lo_b, hi_b = volume_bounds(3, 1 / 16, cov.kappa, 3)
@@ -332,7 +327,7 @@ def test_one_pass_incidences_match_the_per_offset_loop(domain, k):
     spec = ProcessSpec(d=3, epsilon=1 / 16, process="poisson",
                        marks=MarkDistribution.pareto_for_beta(3, 0.5), domain=domain,
                        intensity=1.0, master_seed=2)
-    cov = build_random_covering(sample_configuration(spec, 0), k)
+    cov = build_random_covering(sample_configuration(spec, 0), k, 0.8)
     *want, outside = per_offset_incidences(cov)
     for got, ref in zip((cov.inc_cell, cov.inc_point, cov.inc_own, cov.volumes), want):
         assert_bit_equal(got, ref)
@@ -343,10 +338,8 @@ def test_one_pass_incidences_match_the_per_offset_loop(domain, k):
 
 
 def test_one_pass_incidences_of_an_empty_configuration():
-    config = sample_configuration(spec_for("poisson", eps=1 / 16, half=0.5), 0)
-    config.points = np.empty((0, 3))
-    config.rho = np.empty(0)
-    config._index = config._min_dist = None
+    config = MarkedConfiguration(spec_for("poisson", eps=1 / 16, half=0.5), 0, np.empty(0),
+                                 points=np.empty((0, 3)))
     cov = build_random_covering(config, 3, delta=1.0)
     *want, outside = per_offset_incidences(cov)
     assert cov.thinned.size == 0 and outside == 0
@@ -394,7 +387,7 @@ def test_random_covering_montecarlo_volumes():
     marks = MarkDistribution.pareto_for_beta(3, 0.5)
     spec = spec_for("poisson", eps=1 / 16, marks=marks, seed=1)
     config = sample_configuration(spec, 0)
-    cov = build_random_covering(config, 3)
+    cov = build_random_covering(config, 3, 0.8)
     rng = np.random.default_rng(0)
     # aggregate over a sample of cells: 1% agreement
     cells = np.flatnonzero(cov.base.meets_domain)[::97]
@@ -436,7 +429,7 @@ def loop_covering_counts(cov):
 def criterion9_covering(replicate):
     spec = poisson_spec(MarkDistribution.pareto_for_beta(3, 0.5), intensity=1.0,
                         epsilon=1 / 16, seed=DEFAULT_SEED)
-    return build_random_covering(sample_configuration(spec, replicate), 3)
+    return build_random_covering(sample_configuration(spec, replicate), 3, 0.8)
 
 
 def counts(report):

@@ -83,7 +83,7 @@ def test_cube_covering_rows(tmp_path):
 
 
 def test_random_covering_rows(tmp_path):
-    cov = build_random_covering(sample_configuration(spec("poisson", eps=1 / 16), 0), 3)
+    cov = build_random_covering(sample_configuration(spec("poisson", eps=1 / 16), 0), 3, 0.8)
 
     def old():
         counts = np.bincount(cov.cell_of, minlength=cov.base.n_cells)

@@ -20,11 +20,8 @@ def make_spec(process="lattice", epsilon=0.1, marks=None, lam=1.0, seed=0, half=
 
 
 def synthetic(spec, points, rho):
-    config = sample_configuration(spec, 0)
-    config.points = np.asarray(points, dtype=float)
-    config.rho = np.asarray(rho, dtype=float)
-    config._index = config._min_dist = None
-    return config
+    return MarkedConfiguration(spec, 0, np.asarray(rho, dtype=float),
+                               points=np.asarray(points, dtype=float))
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +353,7 @@ def test_unit_ball_poisson_partition_and_covering():
     part = partition_configuration(config, 0.8)
     report = verify_partition(config, part)
     assert report.ok, [c.detail for c in report.checks if not c.passed]
-    cov = build_random_covering(config, 3)
+    cov = build_random_covering(config, 3, 0.8)
     report = verify_random_covering(cov)
     assert report.ok, report.detail
 

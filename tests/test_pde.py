@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from holelab import (CorrectorField, DomainDescriptor, MarkDistribution,
-                     ProcessSpec, build_capacity_measure, build_cube_covering,
+                     MarkedConfiguration, ProcessSpec, build_capacity_measure, build_cube_covering,
                      c0_constant, deposit_measure, hminus_norm,
                      homogenization_error, homogenized_solve,
                      neumann_cell_energies, sample_configuration,
@@ -229,10 +229,8 @@ def test_perforated_full_domain_hole():
                        marks=MarkDistribution.constant(10.0),
                        domain=DomainDescriptor("axis_cube", 0.5),
                        intensity=1e-9, master_seed=0)
-    config = sample_configuration(spec, 0)
-    config.points = np.zeros((1, 3))
-    config.rho = np.array([100.0])   # truncated hole radius 1 covers D
-    config._index = config._min_dist = None
+    # truncated hole radius 1 covers D
+    config = MarkedConfiguration(spec, 0, np.array([100.0]), points=np.zeros((1, 3)))
     grid = Grid.from_domain(spec.domain, 33)
     sol = solve_perforated(config, None, 1.0, grid)
     assert np.all(sol.u == 0.0)

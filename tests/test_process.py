@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import holelab
-from holelab import (DomainDescriptor, MarkDistribution, ProcessSpec,
+from holelab import (DomainDescriptor, MarkDistribution, MarkedConfiguration, ProcessSpec,
                      ResourceLimitError, SpatialIndex, mecke_check, sample_configuration,
                      thin_configuration)
 from holelab.rng import coordinate_uniforms
@@ -201,24 +201,19 @@ def test_lattice_minimal_distances_need_no_tree(domain, eps):
 
 def test_minimal_distance_pair_and_cap():
     spec = cube_spec("poisson", epsilon=0.1, lam=1.0)
-    config = sample_configuration(spec, 0)
     # two points at rescaled distance 0.5 along an axis
-    config.points = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-    config.rho = np.ones(2)
-    config._index = config._min_dist = None
+    config = MarkedConfiguration(spec, 0, np.ones(2),
+                                 points=np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]))
     assert config.minimal_distances()[0] == pytest.approx(0.1 / 4 * 0.5)
     # far pair: the cap at one is active
-    config.points = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-    config._index = config._min_dist = None
+    config = MarkedConfiguration(spec, 0, np.ones(2),
+                                 points=np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
     assert config.minimal_distances()[0] == pytest.approx(0.1 / 4)
 
 
 def test_minimal_distance_single_point():
     spec = cube_spec("poisson", epsilon=0.1, lam=1.0)
-    config = sample_configuration(spec, 0)
-    config.points = np.zeros((1, 3))
-    config.rho = np.ones(1)
-    config._index = config._min_dist = None
+    config = MarkedConfiguration(spec, 0, np.ones(1), points=np.zeros((1, 3)))
     assert config.minimal_distances()[0] == pytest.approx(0.1 / 4)
 
 
@@ -231,10 +226,9 @@ def test_thinning_keeps_all_small_unit_marks():
 def test_thinning_rejects_threshold_radius():
     eps = 0.1
     spec = cube_spec("poisson", epsilon=eps, lam=1.0)
-    config = sample_configuration(spec, 0)
-    config.points = np.zeros((1, 3))
-    config.rho = np.array([eps ** (-2.0 / (3 - 2))])   # hole radius = eps
-    config._index = config._min_dist = None
+    # hole radius = eps
+    config = MarkedConfiguration(spec, 0, np.array([eps ** (-2.0 / (3 - 2))]),
+                                 points=np.zeros((1, 3)))
     assert thin_configuration(config, 0.8).size == 0
 
 
@@ -329,6 +323,24 @@ def test_no_unused_imports_in_the_package():
                 unused += [f"{path.name}: {alias.asname or alias.name}" for alias in node.names
                            if (alias.asname or alias.name).split(".")[0] not in used]
     assert unused == []
+
+
+def test_geometry_modules_import_no_higher_layer():
+    # sampling, partition and covering sit below the rate ensembles, the CLI
+    # and the experiments: no import reaches up, not even inside a function
+    src = Path(holelab.__file__).parent
+    upward = []
+    for name in ("process.py", "partition.py", "covering.py"):
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                targets = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            upward += [f"{name}: {t}" for t in targets
+                       if {"rates", "cli", "experiments"} & set(t.split("."))]
+    assert upward == []
 
 
 def test_nearest_neighbor_matches_bruteforce_100_seeds():

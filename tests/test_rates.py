@@ -333,8 +333,8 @@ def test_ensemble_reproducible_and_csv():
     marks = MarkDistribution.pareto_for_beta(3, 0.5)
     spec = spec_for(eps=1 / 8, marks=marks, half=0.5)
     a = ensemble_run(spec, "bad_capacity", [1 / 8, 1 / 16], 5, params={"delta": 0.8})
-    b = ensemble_run(spec, "bad_capacity_sum", [1 / 8, 1 / 16], 5, params={"delta": 0.8})
-    assert np.array_equal(a.samples, b.samples)   # alias resolves
+    b = ensemble_run(spec, "bad_capacity", [1 / 8, 1 / 16], 5, params={"delta": 0.8})
+    assert np.array_equal(a.samples, b.samples)
     columns = a.csv_columns(spec)
     assert len(columns[-1]) == 10 and columns[0] == "bad_capacity"
 
