@@ -20,12 +20,12 @@ from . import __version__
 from .corrector import CorrectorField, build_capacity_measure, c0_constant, corrector_energy
 from .covering import (build_cube_covering, build_random_covering, mesoscale_k,
                        verify_random_covering)
-from .experiments import exponent_table, mecke_spec, periodic_hminus_rate
+from .experiments import exponent_table, hminus_setup, mecke_spec, periodic_hminus_rate
 from .io_utils import write_csv, write_field, write_json
 from .partition import check_partition_scale, partition_configuration, verify_partition
 from .pde import Grid, homogenization_error, homogenized_solve, solve_perforated
 from .process import (MECKE_FUNCTIONALS, ProcessSpec, check_delta, check_mecke_arguments,
-                      mecke_check, sample_configuration)
+                      check_replicate, mecke_check, sample_configuration)
 from .rates import (check_fit_design, check_quantity, ensemble_run, fit_rate, resolve_delta,
                     theoretical_exponents)
 
@@ -109,7 +109,7 @@ def _out(args, name: str) -> str:
 
 def _cmd_sample(args, cfg):
     spec = _spec_from(cfg, args)
-    rep = cfg.get("replicate", 0)
+    rep = check_replicate(cfg.get("replicate", 0))
     if args.dry_run:
         return 0, f"sample: would draw ~{spec.expected_points():.3g} points (replicate {rep})"
     config = sample_configuration(spec, rep)
@@ -121,7 +121,7 @@ def _cmd_sample(args, cfg):
 
 def _cmd_partition(args, cfg):
     spec = _spec_from(cfg, args)
-    rep = cfg.get("replicate", 0)
+    rep = check_replicate(cfg.get("replicate", 0))
     delta = resolve_delta(spec, cfg.get("delta"))
     check_partition_scale(spec.d, spec.epsilon, delta, spec.process == "lattice")
     if args.dry_run:
@@ -140,7 +140,7 @@ def _cmd_partition(args, cfg):
 
 def _cmd_corrector(args, cfg):
     spec = _spec_from(cfg, args)
-    rep = cfg.get("replicate", 0)
+    rep = check_replicate(cfg.get("replicate", 0))
     delta = resolve_delta(spec, cfg.get("delta"))
     check_delta(spec.d, delta)
     if args.dry_run:
@@ -158,7 +158,7 @@ def _cmd_corrector(args, cfg):
 
 def _cmd_covering(args, cfg):
     spec = _spec_from(cfg, args)
-    rep = cfg.get("replicate", 0)
+    rep = check_replicate(cfg.get("replicate", 0))
     k = mesoscale_k(spec, cfg.get("k"))
     randomized = cfg.get("random", spec.process == "poisson")
     if randomized and spec.process == "lattice":
@@ -216,9 +216,9 @@ def _cmd_rates(args, cfg):
 def _cmd_hminus(args, cfg):
     grid = cfg.get("epsilon_grid", [1 / 6, 1 / 8, 1 / 12, 1 / 16])
     n = cfg.get("grid_n", 97)
+    hminus_setup(grid, n)             # fixed geometry: unit marks on the lattice cube
     if args.dry_run:
         return 0, f"hminus: would run {len(grid)} deposits and solves at n={n}"
-    # the geometry is fixed (unit marks on the unit-volume lattice cube)
     seed = args.seed if args.seed is not None else 0
     result = periodic_hminus_rate(grid, grid_n=n, seed=seed)
     write_csv(_out(args, "hminus.csv"), ["epsilon", "norm"], (result.epsilons, result.norms))
@@ -230,7 +230,7 @@ def _cmd_hminus(args, cfg):
 
 def _cmd_solve(args, cfg):
     spec = _spec_from(cfg, args)
-    rep = cfg.get("replicate", 0)
+    rep = check_replicate(cfg.get("replicate", 0))
     n = cfg.get("grid_n", 65)
     delta = cfg.get("delta", 1.0)
     check_delta(spec.d, delta)

@@ -21,7 +21,7 @@ from .domain import DomainDescriptor
 from .marks import MarkDistribution
 from .pde import Grid, homogenization_error, homogenized_solve, solve_perforated
 from .process import MECKE_FUNCTIONALS, ProcessSpec, mecke_check, sample_configuration
-from .rates import (EnsembleStat, RateFit, ensemble_run, expected_overlap_pairs,
+from .rates import (EnsembleStat, RateFit, check_quantity, ensemble_run, expected_overlap_pairs,
                     fit_loglog, fit_rate, resolve_delta, theoretical_exponents)
 
 DEFAULT_SEED = 20240501
@@ -132,6 +132,14 @@ class HminusRateResult:
         return abs(self.slope - self.target) <= self.tolerance
 
 
+def hminus_setup(epsilons, grid_n: int = 97, half_width: float = 0.5, seed: int = DEFAULT_SEED):
+    """Spec and parameters of ``periodic_hminus_rate``, checked at every epsilon."""
+    spec = lattice_spec(MarkDistribution.constant(1.0), half_width=half_width, seed=seed)
+    params = {"delta": 1.0, "grid_n": grid_n}
+    check_quantity(spec, "hminus", epsilons, params)
+    return spec, params
+
+
 def periodic_hminus_rate(epsilons=(1 / 6, 1 / 8, 1 / 12, 1 / 16), grid_n: int = 97,
                          half_width: float = 0.5, seed: int = DEFAULT_SEED) -> HminusRateResult:
     """Dual-norm decay of the capacity density mismatch for unit marks.
@@ -145,8 +153,8 @@ def periodic_hminus_rate(epsilons=(1 / 6, 1 / 8, 1 / 12, 1 / 16), grid_n: int = 
     disables on purpose (the deposited charge is conserved, only smeared to
     the grid scale).
     """
-    spec = lattice_spec(MarkDistribution.constant(1.0), half_width=half_width, seed=seed)
-    stat = ensemble_run(spec, "hminus", epsilons, 1, params={"delta": 1.0, "grid_n": grid_n})
+    spec, params = hminus_setup(epsilons, grid_n, half_width, seed)
+    stat = ensemble_run(spec, "hminus", epsilons, 1, params=params)
     norms = stat.samples[:, 0].tolist()
     slope, _, r2 = fit_loglog(epsilons, norms)
     return HminusRateResult(list(epsilons), norms, slope, r2)

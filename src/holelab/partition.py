@@ -43,16 +43,15 @@ def _contagion(config: MarkedConfiguration, core: np.ndarray, a: np.ndarray,
                own: np.ndarray) -> np.ndarray:
     """Non-core points whose protection ball touches a doubled core hole."""
     eps = config.spec.epsilon
-    if core.size == 0:
-        return np.zeros(len(config), dtype=bool)
     hit = np.zeros(len(config), dtype=bool)
+    if core.size == 0:
+        return hit
     trunc = np.minimum(a, 1.0)
-    # rescaled reach: own radius is at most eps/4
+    # rescaled reach: own radius is at most eps/4; a core point that finds
+    # itself is dropped by the caller with the rest of the core
     reach = 0.25 + 2.0 * trunc[core] / eps
     c, cand = config.neighbours(core, reach + 1e-12)
     w = core[c]
-    keep = cand != w
-    w, cand = w[keep], cand[keep]
     diff = config.rescaled(cand) - config.rescaled(w)
     dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
     hit[cand[dist <= own[cand] + 2.0 * trunc[w]]] = True
@@ -119,48 +118,40 @@ def bad_capacity_sum(config: MarkedConfiguration, partition: HolePartition) -> f
     return float(config.spec.epsilon ** d * np.sum(config.rho[bad] ** (d - 2)))
 
 
+def _pairs_within_reach(config: MarkedConfiguration, radii: np.ndarray, own, among):
+    """Pairs (i, j), one per unordered pair of the points flagged in ``among``,
+    whose balls of the given radii may meet; i holds the larger (radius, index).
+
+    Two balls meet only within twice the larger radius r, so that point's own
+    radius (eps/4 times its capped nearest-neighbour distance) is at most r/2:
+    only such points are queried, each within 2r/eps.  Both tests are widened
+    by a relative 1e-9.
+    """
+    eps = config.spec.epsilon
+    cand = np.flatnonzero(among & (radii >= 2.0 * own / (1.0 + 1e-9)))
+    if cand.size == 0:
+        return cand, cand
+    c, j = config.neighbours(cand, 2.0 * radii[cand] / eps * (1.0 + 1e-9))
+    i = cand[c]
+    keep = among[j] & ((radii[j] < radii[i]) | ((radii[j] == radii[i]) & (j < i)))
+    return i[keep], j[keep]
+
+
 def overlap_pairs(config: MarkedConfiguration) -> int:
     """Number of unordered pairs whose (truncated) holes intersect.
 
     Holes are Euclidean balls of radius min(eps^(d/(d-2)) rho, 1) around the
-    physical centres; the count is exact.  Pairs of two small holes are
-    scanned in bulk, pairs involving a large hole by individual range
-    queries, so rare giant holes do not force a global quadratic pass.
+    physical centres; the count is exact.  Only holes whose cached nearest
+    neighbour lies within twice their radius are queried, each within that
+    reach, so no whole-configuration pair scan is made.
     """
     eps = config.spec.epsilon
-    n = len(config)
-    if n < 2:
-        return 0
     a = config.hole_radii(truncate=True)
-    rescaled = a / eps
-    b0 = 0.25
-    big = np.flatnonzero(rescaled > b0)
-    small = rescaled <= b0
-
-    count = 0
-    # small-small pairs need rescaled separation below 2*b0; lattice points
-    # are at least unit distance apart, so only the poisson branch scans
-    if not config.is_lattice:
-        i, j = config.index.close_pairs(2.0 * b0)
-        keep = small[i] & small[j]
-        i, j = i[keep], j[keep]
-        diff = config.rescaled(i) - config.rescaled(j)
-        dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        count += int(np.count_nonzero(dist < a[i] + a[j]))
-
-    if big.size == 0:
-        return count
-    a_max = float(rescaled.max())
-    c, k = config.neighbours(big, rescaled[big] + a_max + 1e-12)
-    b = big[c]
-    keep = k != b
-    b, k = b[keep], k[keep]
-    diff = config.rescaled(k) - config.rescaled(b)
+    own = eps / 4.0 if config.is_lattice else config.minimal_distances()   # lattice: all eps/4
+    i, j = _pairs_within_reach(config, a, own, np.ones(len(config), dtype=bool))
+    diff = config.rescaled(i) - config.rescaled(j)
     dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    hit = dist < a[b] + a[k]
-    # a pair of two big holes is found from both ends; count it once
-    pairs = np.stack([np.minimum(b[hit], k[hit]), np.maximum(b[hit], k[hit])], axis=1)
-    return count + np.unique(pairs, axis=0).shape[0]
+    return int(np.count_nonzero(dist < a[i] + a[j]))
 
 
 # ----------------------------------------------------------------------
@@ -240,21 +231,14 @@ def verify_partition(config: MarkedConfiguration, partition: HolePartition) -> P
     ok2 = bool(np.all(partition.safety_radii <= 2.0 + 1e-12))
     rep.add("bad_region_near_domain", ok2, "" if ok2 else "a safety ball has radius > 2")
 
-    # good holes are pairwise disjoint balls
-    ok3, det3 = True, ""
-    if good.size > 1:
-        trunc = np.minimum(a, 1.0)
-        reach = 2.0 * float(trunc[good].max()) / eps
-        i, j = config.index.close_pairs(max(reach, 1e-9))
-        keep = np.isin(i, good) & np.isin(j, good)
-        i, j = i[keep], j[keep]
-        if i.size:
-            diff = config.centers(i) - config.centers(j)
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            overlap = dist < trunc[i] + trunc[j] - 1e-12
-            if np.any(overlap):
-                ok3 = False
-                k = np.argmax(overlap)
-                det3 = f"good holes {i[k]} and {j[k]} overlap"
-    rep.add("good_holes_disjoint", ok3, det3)
+    # good holes are pairwise disjoint balls; the lowest overlapping pair is named
+    trunc = np.minimum(a, 1.0)
+    i, j = _pairs_within_reach(config, trunc, own, np.bincount(good, minlength=len(config)) > 0)
+    diff = config.centers(i) - config.centers(j)
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    overlap = dist < trunc[i] + trunc[j] - 1e-12
+    lo, hi = np.minimum(i, j)[overlap], np.maximum(i, j)[overlap]
+    first = np.lexsort((hi, lo))[:1]
+    rep.add("good_holes_disjoint", first.size == 0,
+            f"good holes {lo[first][0]} and {hi[first][0]} overlap" if first.size else "")
     return rep

@@ -206,8 +206,7 @@ class MarkedConfiguration:
 def sample_configuration(spec: ProcessSpec, replicate: int,
                          max_points: float = 5e7) -> MarkedConfiguration:
     """Draw one configuration; bit-reproducible in (master_seed, replicate)."""
-    if replicate < 0:
-        raise ValueError("replicate must be >= 0")
+    check_replicate(replicate)
     expected = spec.expected_points()
     if expected > max_points:
         raise ResourceLimitError(
@@ -227,6 +226,13 @@ def sample_configuration(spec: ProcessSpec, replicate: int,
 
     pts, rho = _poisson_draw(spec, replicate_generator(spec.master_seed, replicate))
     return MarkedConfiguration(spec, replicate, rho, points=pts)
+
+
+def check_replicate(replicate: int) -> int:
+    """Refuse a negative replicate number; return it otherwise."""
+    if replicate < 0:
+        raise ValueError("replicate must be >= 0")
+    return replicate
 
 
 def _poisson_draw(spec: ProcessSpec, gen: np.random.Generator):

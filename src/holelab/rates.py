@@ -332,18 +332,19 @@ def resolve_delta(spec: ProcessSpec, delta: Optional[float] = None) -> float:
 
 def check_quantity(spec: ProcessSpec, quantity: str, epsilon_grid, params: dict) -> None:
     """Refuse from the arguments alone what ``evaluate_quantity`` would refuse
-    at some epsilon of the grid: an unknown quantity, then the delta (and, for
-    lattice partitions, the epsilon) and the k of the quantities that use them."""
+    at some epsilon of the grid: an unknown quantity or an epsilon outside (0, 1),
+    then the delta (and, on lattice partitions, eps^delta) and k where used."""
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
+    specs = [spec.with_epsilon(eps) for eps in epsilon_grid]   # each eps in (0, 1)
     if quantity == "overlap_pairs":
         return
     delta = resolve_delta(spec, params.get("delta"))
     partitions = quantity in ("bad_capacity", "det_rhs") and spec.process == "lattice"
-    for eps in epsilon_grid:
-        check_partition_scale(spec.d, eps, delta, partitions)
+    for s in specs:
+        check_partition_scale(s.d, s.epsilon, delta, partitions)
         if quantity in ("s_variance", "det_rhs"):
-            mesoscale_k(spec.with_epsilon(eps), params.get("k"))
+            mesoscale_k(s, params.get("k"))
 
 
 def evaluate_quantity(spec: ProcessSpec, quantity: str, replicate: int,

@@ -224,14 +224,23 @@ _LATTICE_HALF = {"d": 3, "epsilon": 0.125, "process": "lattice",
     ("mecke", {"functional": "nope"}, "unknown functional 'nope'"),
     ("mecke", {"spec": dict(_POISSON, domain={"shape": "axis_cube", "half_width": 0.1})},
      "sampling window too small"),
+    *[(command, {"replicate": -1}, "replicate must be >= 0")
+      for command in ("sample", "partition", "corrector", "covering", "solve")],
+    # every epsilon of the grid is range-checked, whatever the quantity
+    ("hminus", {"epsilon_grid": [1.5, 0.5, 0.25, 0.125], "grid_n": 17},
+     "epsilon must lie in (0, 1)"),
+    ("rates", {"quantity": "overlap_pairs", "epsilon_grid": [1.5, 0.5, 0.25, 0.125],
+               "replicates": 30}, "epsilon must lie in (0, 1)"),
 ], ids=["partition_delta", "corrector_delta", "covering_k", "covering_fractional_k",
         "covering_delta", "rates_k", "covering_oversized_k", "rates_oversized_k",
         "rates_quantity", "solve_delta", "mecke_trials", "mecke_lattice",
-        "mecke_functional", "mecke_window"])
+        "mecke_functional", "mecke_window", "sample_replicate", "partition_replicate",
+        "corrector_replicate", "covering_replicate", "solve_replicate", "hminus_epsilon",
+        "rates_overlap_epsilon"])
 def test_config_faults_refused_before_the_dry_run(tmp_path, capsys, monkeypatch, command,
                                                   config, message, dry_run):
     import holelab.cli as cli
-    for name in ("sample_configuration", "ensemble_run", "mecke_check"):
+    for name in ("sample_configuration", "ensemble_run", "mecke_check", "periodic_hminus_rate"):
         monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("started the work"))
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))

@@ -473,3 +473,136 @@ def test_planted_giant_hole_matches_tree(where, monkeypatch):
     r = math.floor(reach)
     box = np.prod(np.minimum(coords[site] + r, 16) - np.maximum(coords[site] - r, -16) + 1)
     assert c.size == box
+
+
+# ----------------------------------------------------------------------
+# pair searches from the holes that can pair, against whole-configuration
+# pair scans
+# ----------------------------------------------------------------------
+
+def scan_overlap_pairs(config):
+    """Overlap pairs from a scan of all close pairs plus range queries around
+    the holes of rescaled radius above 1/4 (reference)."""
+    eps = config.spec.epsilon
+    if len(config) < 2:
+        return 0
+    a = config.hole_radii(truncate=True)
+    rescaled = a / eps
+    big, small = np.flatnonzero(rescaled > 0.25), rescaled <= 0.25
+    count = 0
+    if not config.is_lattice:      # lattice points are at least one apart
+        i, j = config.index.close_pairs(0.5)
+        keep = small[i] & small[j]
+        i, j = i[keep], j[keep]
+        diff = config.rescaled(i) - config.rescaled(j)
+        dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        count += int(np.count_nonzero(dist < a[i] + a[j]))
+    if big.size == 0:
+        return count
+    c, k = config.index.query(config.points[big], rescaled[big] + rescaled.max() + 1e-12)
+    b = big[c]
+    keep = k != b
+    b, k = b[keep], k[keep]
+    diff = config.rescaled(k) - config.rescaled(b)
+    dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    hit = dist < a[b] + a[k]
+    pairs = np.stack([np.minimum(b[hit], k[hit]), np.maximum(b[hit], k[hit])], axis=1)
+    return count + np.unique(pairs, axis=0).shape[0]
+
+
+def scan_good_holes_disjoint(config, part):
+    """The good-hole disjointness check from a scan of all pairs within twice
+    the largest good radius, naming the lowest overlapping pair (reference)."""
+    good = part.good
+    if good.size < 2:
+        return True, ""
+    trunc = np.minimum(config.hole_radii(), 1.0)
+    reach = 2.0 * float(trunc[good].max()) / config.spec.epsilon
+    i, j = config.index.close_pairs(max(reach, 1e-9))
+    keep = np.isin(i, good) & np.isin(j, good)
+    i, j = i[keep], j[keep]
+    diff = config.centers(i) - config.centers(j)
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    overlap = dist < trunc[i] + trunc[j] - 1e-12
+    if not np.any(overlap):
+        return True, ""
+    lo, hi = min(zip(i[overlap].tolist(), j[overlap].tolist()))
+    return False, f"good holes {lo} and {hi} overlap"
+
+
+def assert_pair_searches_match_scans(config, part):
+    """Same overlap count and the same verify_partition checks, flags and
+    details; returns whether the good holes are disjoint."""
+    checks = {c.name: (c.passed, c.detail) for c in verify_partition(config, part).checks}
+    want = scan_good_holes_disjoint(config, part)
+    assert checks["good_holes_disjoint"] == want
+    assert overlap_pairs(config) == scan_overlap_pairs(config)
+    names = ["disjoint_cover", "good_hole_size", "good_avoids_bad_region",
+             "bad_region_near_domain", "good_holes_disjoint"]
+    if not config.is_lattice:
+        names[2:2] = ["good_min_distance", "good_separation"]
+    assert list(checks) == names
+    return want[0]
+
+
+def plant_overlapping_holes(config, seed):
+    """A hole of radius 1.1 eps (small enough for the scans), and two equal
+    holes around a point and its nearest neighbour that just meet, which only
+    a query of the full reach from a point of the pair can find."""
+    eps, n = config.spec.epsilon, len(config)
+    centers = config.centers()
+    p = n // (seed + 3)
+    dist = np.linalg.norm(centers - centers[p], axis=1)
+    dist[p] = np.inf
+    q = int(np.argmin(dist))
+    config.rho = config.rho.copy()
+    config.rho[[p, q]] = 0.5 * dist[q] * (1.0 + 1e-6) / config.spec.hole_scale
+    config.rho[n // (seed + 2)] = 1.1 * eps / config.spec.hole_scale
+
+
+@pytest.mark.parametrize("process", ["lattice", "poisson"])
+@pytest.mark.parametrize("shape", ["axis_cube", "unit_ball"])
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_pair_searches_match_whole_configuration_scans(process, shape, beta):
+    marks = MarkDistribution.pareto_for_beta(3, beta)
+    delta = 0.8 if beta == 0.5 else 1.4
+    planted = overlapping = 0
+    for eps in (1 / 8, 1 / 12, 1 / 16):
+        for seed in range(4):
+            spec = ProcessSpec(d=3, epsilon=eps, process=process, marks=marks,
+                               domain=DomainDescriptor(shape, 0.5),    # the ball: radius 1
+                               intensity=1.0 if process == "poisson" else None,
+                               master_seed=seed)
+            config = sample_configuration(spec, 0)
+            for bumped in (False, True):
+                if bumped:
+                    plant_overlapping_holes(config, seed)
+                part = partition_configuration(config, delta)
+                assert assert_pair_searches_match_scans(config, part)
+                overlapping += overlap_pairs(config) > 0
+                # planted: every other bad point relabelled good, one twice
+                if part.bad.size:
+                    moved = part.bad[::2]
+                    relabel_good(part, np.append(moved, moved[0]), drop_their_balls=False)
+                    planted += not assert_pair_searches_match_scans(config, part)
+    assert planted >= 6 and overlapping >= 12
+
+
+@pytest.mark.parametrize("process", ["lattice", "poisson"])
+def test_pair_searches_scan_no_pairs(process, monkeypatch):
+    from holelab.index import SpatialIndex
+    monkeypatch.setattr(SpatialIndex, "close_pairs",
+                        lambda *a, **k: pytest.fail("whole-configuration pair scan"))
+    spec = make_spec(process, epsilon=1 / 8, seed=1,
+                     marks=MarkDistribution.pareto_for_beta(3, 0.5))
+    config = sample_configuration(spec, 0)
+    config.rho = config.rho.copy()
+    config.rho[len(config) // 2] = 2.0 / spec.hole_scale      # truncated radius 1
+    assert overlap_pairs(config) > 0
+    if process == "lattice":
+        assert config._index is None
+    part = partition_configuration(config, 0.8)
+    assert verify_partition(config, part).ok
+    relabel_good(part, part.bad, drop_their_balls=False)
+    failed = {c.name for c in verify_partition(config, part).checks if not c.passed}
+    assert "good_holes_disjoint" in failed
