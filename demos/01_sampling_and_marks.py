@@ -25,6 +25,6 @@ for process, lam in (("lattice", None), ("poisson", 1.0)):
     print(f"  largest mark: {config.rho.max():.2f} "
           f"(hole radius {config.hole_radii().max():.2e})")
     kept = thin_configuration(config, delta=0.8)
-    print(f"  thinned points (small, well separated): {kept.size}/{len(config)}")
+    print(f"  thinned points (small, well separated): {np.count_nonzero(kept)}/{len(config)}")
     print(f"  point 0: position {config.points[0]}, R = "
           f"{config.minimal_distances()[0]:.5f}")

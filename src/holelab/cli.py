@@ -69,10 +69,9 @@ def _load_config(path, command) -> dict:
     _validate_keys(cfg, _SCHEMAS[command], f"config for {command!r}")
     if "spec" in cfg:
         _validate_keys(cfg["spec"], _SPEC_KEYS, "spec")
-        if "marks" in cfg["spec"]:
-            _validate_keys(cfg["spec"]["marks"], _MARKS_KEYS, "spec.marks")
-        if "domain" in cfg["spec"]:
-            _validate_keys(cfg["spec"]["domain"], _DOMAIN_KEYS, "spec.domain")
+        for key, allowed in (("marks", _MARKS_KEYS), ("domain", _DOMAIN_KEYS)):
+            if key in cfg["spec"]:
+                _validate_keys(cfg["spec"][key], allowed, f"spec.{key}")
     return cfg
 
 

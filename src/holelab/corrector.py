@@ -101,7 +101,7 @@ class CorrectorField:
     @staticmethod
     def from_configuration(config: MarkedConfiguration, delta: float) -> "CorrectorField":
         """Cells on the thinned points: inner = hole radius, outer = minimal distance."""
-        idx = thin_configuration(config, delta)
+        idx = np.flatnonzero(thin_configuration(config, delta))
         if idx.size == 0:
             return CorrectorField.empty(config.spec.d)
         a = config.hole_radii()[idx]

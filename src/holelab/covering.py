@@ -89,6 +89,10 @@ class CubeCovering:
         m = np.ceil(x / self.cell_size + self.shift - 1e-9).astype(np.int64) - 1 - self.m_lo
         return np.clip(m, 0, self.m_count - 1)
 
+    def face_distances(self, x: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Max-norm distance of points x (n, d) to the boundary of their cells."""
+        return np.minimum(x - self.lo[cells], self.hi[cells] - x).min(axis=1)
+
     def cell_of_points(self, x: np.ndarray) -> np.ndarray:
         """Flat cell index for physical points (n, d)."""
         m = self._axis_tiles(np.atleast_2d(np.asarray(x, dtype=float)))
@@ -105,11 +109,36 @@ def _cell_columns(base: CubeCovering, volumes: np.ndarray, point_cell: np.ndarra
     return np.arange(base.n_cells), base.anchors, volumes, counts, base.interior
 
 
+def check_interior_cell(spec: ProcessSpec, k: int) -> None:
+    """Refuse cells of side k*eps none of which is interior (in the domain
+    at distance eps from its boundary): interior averages would be empty."""
+    k = mesoscale_k(spec, k)
+    tiles = _tiling(spec, k)
+    if not np.any(tiles.interior & tiles.meets_domain):
+        raise ValueError(f"no cell of side k*eps = {k * spec.epsilon} is interior to the domain")
+
+
 def build_cube_covering(config: MarkedConfiguration, k: int) -> CubeCovering:
     """Tile the domain with cubes of side k*epsilon and assign every point."""
-    spec = config.spec
+    cov = _tiling(config.spec, mesoscale_k(config.spec, k))
+    if config.is_lattice:
+        # tiles of the 2m+1 axis values, raveled by outer sums and gathered
+        # by site key, in the smallest unsigned dtype that holds a cell index
+        dtype = np.min_scalar_type(cov.n_cells - 1)
+        axis = cov._axis_tiles(cov.epsilon * np.arange(-config.m, config.m + 1.0)[:, None])
+        axis = axis[:, 0].astype(dtype)
+        cells = np.zeros(1, dtype=dtype)
+        for _ in range(config.spec.d):
+            cells = np.add.outer(cells * dtype.type(cov.m_count[0]), axis).ravel()
+        cov.point_cell = cells if cells.size == len(config) else cells[config.site_keys]
+    else:
+        cov.point_cell = cov.cell_of_points(config.centers())
+    return cov
+
+
+def _tiling(spec: ProcessSpec, k: int) -> CubeCovering:
+    """The cells of side k*epsilon over the spec's domain, no point assigned."""
     d, eps = spec.d, spec.epsilon
-    mesoscale_k(spec, k)
     s, w = k * eps, spec.domain.radius
     shift = 0.0 if k % 2 == 0 else 0.5
     # per-axis tile indices whose open tile meets (-w, w)
@@ -122,22 +151,11 @@ def build_cube_covering(config: MarkedConfiguration, k: int) -> CubeCovering:
     m = np.stack(np.meshgrid(*([rng] * d), indexing="ij"), axis=-1).reshape(-1, d)
     lo = s * (m - shift)
     hi = lo + s
-    cov = CubeCovering(k=k, epsilon=eps, m_lo=m_lo, m_count=m_count,
-                       anchors=k * m + (0 if k % 2 else k // 2), lo=lo, hi=hi,
-                       interior=spec.domain.inner_margin(lo, hi, eps),
-                       meets_domain=spec.domain.box_intersects(lo, hi),
-                       point_cell=np.empty(0, dtype=np.int64))
-    if config.is_lattice:
-        # tiles of the 2m+1 axis values, raveled by outer sums and gathered
-        # by site key
-        axis = cov._axis_tiles(eps * np.arange(-config.m, config.m + 1.0)[:, None])[:, 0]
-        cells = np.zeros(1, dtype=np.int64)
-        for _ in range(d):
-            cells = np.add.outer(cells * rng.size, axis).ravel()
-        cov.point_cell = cells if cells.size == len(config) else cells[config.site_keys]
-    else:
-        cov.point_cell = cov.cell_of_points(config.centers())
-    return cov
+    return CubeCovering(k=k, epsilon=eps, m_lo=m_lo, m_count=m_count,
+                        anchors=k * m + (0 if k % 2 else k // 2), lo=lo, hi=hi,
+                        interior=spec.domain.inner_margin(lo, hi, eps),
+                        meets_domain=spec.domain.box_intersects(lo, hi),
+                        point_cell=np.empty(0, dtype=np.int64))
 
 
 # ----------------------------------------------------------------------
@@ -153,21 +171,14 @@ def trimmed_min_distances(config: MarkedConfiguration, covering: CubeCovering,
     n-th dyadic shell.  The face-distance cases take priority in the listed
     order, so a tie at the shell edges resolves to the smaller cap.
     """
-    eps = config.spec.epsilon
-    x = config.centers(np.asarray(idx))
-    cells = covering.point_cell[np.asarray(idx)]
-    lo = covering.lo[cells]
-    hi = covering.hi[cells]
-    dist = np.minimum(x - lo, hi - x).min(axis=1)
-    dist = np.maximum(dist, 0.0)
-    r = config.minimal_distances()[np.asarray(idx)]
+    eps, idx = config.spec.epsilon, np.asarray(idx)
+    dist = np.maximum(covering.face_distances(config.centers(idx), covering.point_cell[idx]), 0.0)
+    r = config.minimal_distances()[idx]
     base = eps ** (1.0 + kappa)
-    with np.errstate(divide="ignore"):
-        shell = np.ceil(np.log2(np.maximum(dist, 1e-300) / base))
+    shell = np.ceil(np.log2(np.maximum(dist, 1e-300) / base))
     cap = base * 2.0 ** (np.maximum(shell, 1.0) - 1.0)
-    out = np.where(dist >= eps / 2.0, r,
-                   np.where(dist <= base, np.minimum(base, r), np.minimum(cap, r)))
-    return out
+    return np.where(dist >= eps / 2.0, r,
+                    np.where(dist <= base, np.minimum(base, r), np.minimum(cap, r)))
 
 
 @dataclass
@@ -204,7 +215,7 @@ def build_random_covering(config: MarkedConfiguration, k: int,
     d, eps = spec.d, spec.epsilon
     _, kappa = mesoscale_parameters(d, eps)
     base = build_cube_covering(config, k)
-    thinned = thin_configuration(config, delta)
+    thinned = np.flatnonzero(thin_configuration(config, delta))
     tr = trimmed_min_distances(config, base, thinned, kappa)
     x = config.centers(thinned)
     half = 2.0 * tr

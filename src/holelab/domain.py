@@ -40,10 +40,6 @@ class DomainDescriptor:
             return np.max(np.abs(x), axis=1) <= self.half_width
         return np.einsum("ij,ij->i", x, x) <= 1.0
 
-    def bounding_box(self, d: int):
-        r = self.radius
-        return -r * np.ones(d), r * np.ones(d)
-
     def inner_margin(self, lo: np.ndarray, hi: np.ndarray, margin: float) -> np.ndarray:
         """Per box [lo, hi] of the (m, d) corner arrays: does it lie in the
         domain at distance >= margin?"""

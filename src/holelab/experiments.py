@@ -50,9 +50,7 @@ def exponent_table(d: int, beta: float, epsilon: Optional[float] = None) -> dict
            "k_exp": theo.k_exponent, "kappa": theo.kappa,
            "bad_capacity_exponent": theo.bad_capacity_exponent}
     if epsilon is not None:
-        k, kappa = mesoscale_parameters(d, epsilon)
-        out["k"] = k
-        out["epsilon"] = epsilon
+        out["k"], out["epsilon"] = mesoscale_parameters(d, epsilon)[0], epsilon
     return out
 
 
@@ -70,17 +68,14 @@ def capacity_oracle_check(n_triples: int = 20, seed: int = 0) -> CapacityOracleR
     """Closed-form annulus capacity against the radial finite-difference solve."""
     rng = np.random.default_rng(seed)
     rows = []
-    worst = 0.0
     for _ in range(n_triples):
         d = int(rng.integers(3, 6))
         a = float(rng.uniform(0.05, 0.4))
         big = a * float(rng.uniform(1.5, 6.0))
         exact = annulus_capacity(a, big, d)
         approx = annulus_capacity_fd(a, big, d)
-        rel = abs(approx - exact) / exact
-        worst = max(worst, rel)
-        rows.append((d, a, big, exact, approx, rel))
-    return CapacityOracleResult(rows, worst)
+        rows.append((d, a, big, exact, approx, abs(approx - exact) / exact))
+    return CapacityOracleResult(rows, max((row[-1] for row in rows), default=0.0))
 
 
 @dataclass
@@ -329,16 +324,11 @@ def covering_soundness_experiment(replicates: int = 100, epsilon: float = 1 / 16
     marks = MarkDistribution.pareto_for_beta(3, beta)
     spec = poisson_spec(marks, intensity=1.0, epsilon=epsilon, seed=seed)
     k, delta = mesoscale_k(spec), resolve_delta(spec)
-    vol = over = dich = cells = 0
-    for rep in range(replicates):
-        config = sample_configuration(spec, rep)
-        cov = build_random_covering(config, k, delta)
-        report = verify_random_covering(cov)
-        vol += report.volume_violations
-        over += report.overlap_violations
-        dich += report.dichotomy_violations
-        cells += report.n_cells
-    return CoveringSoundnessResult(replicates, vol, over, dich, cells)
+    configs = (sample_configuration(spec, rep) for rep in range(replicates))
+    reports = [verify_random_covering(build_random_covering(c, k, delta)) for c in configs]
+    totals = [sum(getattr(r, name) for r in reports) for name in
+              ("volume_violations", "overlap_violations", "dichotomy_violations", "n_cells")]
+    return CoveringSoundnessResult(replicates, *totals)
 
 
 @dataclass

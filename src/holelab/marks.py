@@ -111,7 +111,10 @@ class MarkDistribution:
             lo, hi = self.params
             return lo + (hi - lo) * u
         alpha, x = self.params
-        return x * (1.0 - u) ** (-1.0 / alpha)
+        out = 1.0 - u                   # the rest runs in place (a 0-d u gives scalars)
+        out **= -1.0 / alpha
+        out *= x
+        return out
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "beta_eff": None if math.isinf(self.beta_eff) else self.beta_eff}

@@ -19,7 +19,7 @@ from .process import MarkedConfiguration, check_delta
 @dataclass
 class HolePartition:
     delta: float
-    good: np.ndarray
+    n_points: int              # good: the points in no bad class, derived when read
     bad_J: np.ndarray          # oversized marks
     bad_K: np.ndarray          # squeezed neighbour distance (poisson only)
     bad_C: np.ndarray          # hole radius comparable to neighbour distance (poisson only)
@@ -30,6 +30,12 @@ class HolePartition:
     @property
     def bad(self) -> np.ndarray:
         return np.concatenate([self.bad_J, self.bad_K, self.bad_C, self.bad_I_tilde])
+
+    @property
+    def good(self) -> np.ndarray:
+        is_good = np.ones(self.n_points, dtype=bool)
+        is_good[self.bad] = False
+        return np.flatnonzero(is_good)
 
     def csv_columns(self, config: MarkedConfiguration):
         """CSV columns index, class label, rho, R; the classes in turn."""
@@ -46,15 +52,14 @@ def _contagion(config: MarkedConfiguration, core: np.ndarray, a: np.ndarray,
     hit = np.zeros(len(config), dtype=bool)
     if core.size == 0:
         return hit
-    trunc = np.minimum(a, 1.0)
+    trunc = np.minimum(a[core], 1.0)
     # rescaled reach: own radius is at most eps/4; a core point that finds
     # itself is dropped by the caller with the rest of the core
-    reach = 0.25 + 2.0 * trunc[core] / eps
+    reach = 0.25 + 2.0 * trunc / eps
     c, cand = config.neighbours(core, reach + 1e-12)
-    w = core[c]
-    diff = config.rescaled(cand) - config.rescaled(w)
+    diff = config.rescaled(cand) - config.rescaled(core[c])
     dist = eps * np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    hit[cand[dist <= own[cand] + 2.0 * trunc[w]]] = True
+    hit[cand[dist <= own[cand] + 2.0 * trunc[c]]] = True
     return hit
 
 
@@ -88,7 +93,7 @@ def _classify(config: MarkedConfiguration, delta: float) -> HolePartition:
     bad_idx = np.flatnonzero(core | mask_i)
     return HolePartition(
         delta=delta,
-        good=np.flatnonzero(~(core | mask_i)),
+        n_points=len(config),
         bad_J=np.flatnonzero(mask_j),
         bad_K=np.flatnonzero(mask_k),
         bad_C=np.flatnonzero(mask_c),
@@ -179,9 +184,7 @@ class PartitionReport:
 
 def verify_partition(config: MarkedConfiguration, partition: HolePartition) -> PartitionReport:
     """Check every structural property of the decomposition; failures are data."""
-    d = config.spec.d
-    eps = config.spec.epsilon
-    delta = partition.delta
+    d, eps, delta = config.spec.d, config.spec.epsilon, partition.delta
     a = config.hole_radii()
     rep = PartitionReport()
 
@@ -193,6 +196,8 @@ def verify_partition(config: MarkedConfiguration, partition: HolePartition) -> P
             "" if is_partition else f"{combined.size} labels for {len(config)} points")
 
     good = partition.good
+    is_good = np.zeros(len(config), dtype=bool)
+    is_good[good] = True
     thr = eps ** (1.0 + delta)
     viol = good[a[good] > thr] if good.size else np.empty(0, int)
     rep.add("good_hole_size", viol.size == 0,
@@ -214,9 +219,7 @@ def verify_partition(config: MarkedConfiguration, partition: HolePartition) -> P
     if good.size and partition.safety_radii.size:
         reach = (partition.safety_radii + own[good].max()) / eps * (1.0 + 1e-9)
         w, g = config.index.query(partition.safety_centers / eps, reach)
-        pos = np.full(len(config), good.size)     # first place in `good`
-        np.minimum.at(pos, good, np.arange(good.size))
-        keep = pos[g] < good.size
+        keep = is_good[g]
         w, g = w[keep], g[keep]
         diff = config.centers(g) - partition.safety_centers[w]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -224,7 +227,7 @@ def verify_partition(config: MarkedConfiguration, partition: HolePartition) -> P
         if np.any(hit):
             ok = False
             w0 = w[hit].min()
-            detail = f"good point {good[pos[g[hit & (w == w0)]].min()]} touches safety ball {w0}"
+            detail = f"good point {g[hit & (w == w0)].min()} touches safety ball {w0}"
     rep.add("good_avoids_bad_region", ok, detail)
 
     # the safety region stays within distance 2 of the domain
@@ -233,7 +236,7 @@ def verify_partition(config: MarkedConfiguration, partition: HolePartition) -> P
 
     # good holes are pairwise disjoint balls; the lowest overlapping pair is named
     trunc = np.minimum(a, 1.0)
-    i, j = _pairs_within_reach(config, trunc, own, np.bincount(good, minlength=len(config)) > 0)
+    i, j = _pairs_within_reach(config, trunc, own, is_good)
     diff = config.centers(i) - config.centers(j)
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     overlap = dist < trunc[i] + trunc[j] - 1e-12

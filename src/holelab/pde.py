@@ -59,8 +59,8 @@ class Grid:
 
     @staticmethod
     def from_domain(domain: DomainDescriptor, n: int) -> "Grid":
-        lo, hi = domain.bounding_box(3)
-        return Grid(n, tuple(lo), tuple(hi), domain)
+        r = domain.radius
+        return Grid(n, (-r,) * 3, (r,) * 3, domain)
 
     @property
     def h(self) -> float:
@@ -83,14 +83,8 @@ class Grid:
         ax = self.axes()
         if self.domain is None or self.domain.shape == "axis_cube":
             r = self.domain.half_width if self.domain is not None else None
-            masks = []
-            for a in range(3):
-                x = ax[a]
-                if r is None:
-                    m = (x > self.lo[a]) & (x < self.hi[a])
-                else:
-                    m = np.abs(x) < r - 1e-12 * max(1.0, r)
-                masks.append(m)
+            masks = [(x > lo) & (x < hi) if r is None else np.abs(x) < r - 1e-12 * max(1.0, r)
+                     for x, lo, hi in zip(ax, self.lo, self.hi)]
             return masks[0][:, None, None] & masks[1][None, :, None] & masks[2][None, None, :]
         x, y, z = np.meshgrid(*ax, indexing="ij")
         return x * x + y * y + z * z < 1.0 - 1e-12

@@ -98,8 +98,9 @@ class ProcessSpec:
 class MarkedConfiguration:
     """One sampled realization: rescaled centres and marks.
 
-    A lattice configuration keeps only ``site_keys``, the strictly increasing
-    row-major keys of its sites in [-m, m]^d; its coordinates are derived.
+    A lattice configuration keeps its marks and, on a ball, the strictly
+    increasing row-major keys of its sites in [-m, m]^d (on the cube, whose
+    box is full, a key is its index); its coordinates are derived.
     """
 
     def __init__(self, spec: ProcessSpec, replicate: int, rho: np.ndarray,
@@ -108,7 +109,7 @@ class MarkedConfiguration:
         self.replicate = replicate
         self.rho = rho
         self._points = points
-        self.site_keys = site_keys
+        self._keys = site_keys          # None on the cube: key = index
         self.m = int(math.floor(spec.domain.radius / spec.epsilon)) if self.is_lattice else None
         self._index: Optional[SpatialIndex] = None
         self._min_dist: Optional[np.ndarray] = None
@@ -131,10 +132,16 @@ class MarkedConfiguration:
         a = self.spec.hole_scale * self.rho
         return np.minimum(a, 1.0) if truncate else a
 
+    @property
+    def site_keys(self) -> np.ndarray:
+        """Row-major keys of the lattice sites in [-m, m]^d."""
+        return np.arange(len(self)) if self._keys is None else self._keys
+
     def _sites(self, idx=slice(None)) -> np.ndarray:
         """Integer lattice sites (n, d) of the points idx, from their keys."""
+        keys = self.site_keys[idx] if self._keys is not None or isinstance(idx, slice) else idx
         shape = (2 * self.m + 1,) * self.spec.d
-        return np.stack(np.unravel_index(self.site_keys[idx], shape), axis=-1) - self.m
+        return np.stack(np.unravel_index(keys, shape), axis=-1) - self.m
 
     def rescaled(self, idx=slice(None)) -> np.ndarray:
         """Rescaled centres of the points idx (all points by default)."""
@@ -160,7 +167,7 @@ class MarkedConfiguration:
         reach = np.broadcast_to(np.asarray(reach, dtype=float), idx.shape)
         if not self.is_lattice:
             return self.index.query(self.rescaled(idx), reach)
-        m, keys, sites = self.m, self.site_keys, self._sites(idx)
+        m, keys, sites = self.m, self._keys, self._sites(idx)
         half = np.floor(reach).astype(np.int64)[:, None]
         lo = np.maximum(sites - half, -m)
         ext = np.maximum(np.minimum(sites + half, m) - lo + 1, 0)
@@ -176,7 +183,9 @@ class MarkedConfiguration:
             key += (lo[c, axis] + m + pos % e) * stride
             pos //= e
             stride *= 2 * m + 1
-        # ball domains lack some box sites; the cube has them all
+        if keys is None:            # the cube has every box site
+            return c, key
+        # ball domains lack some box sites
         j = np.minimum(np.searchsorted(keys, key), keys.size - 1)
         found = keys[j] == key
         return c[found], j[found]
@@ -186,16 +195,14 @@ class MarkedConfiguration:
 
         Distance is the maximum norm over coordinates in the rescaled domain.
         With no other point within distance one the cap is active and the
-        value is eps/4, which is also the lattice value everywhere.
+        value is eps/4, which is also the lattice value everywhere (sites are
+        at least one apart), there a read-only broadcast of that number.
         """
+        eps = self.spec.epsilon
+        if self.is_lattice:
+            return np.broadcast_to(eps / 4.0, len(self))
         if self._min_dist is None:
-            eps = self.spec.epsilon
-            if self.is_lattice:
-                # distinct integer sites are at least one apart and the
-                # distance is capped at one, so the minimum is identically one
-                self._min_dist = np.full(len(self), eps / 4.0)
-            else:
-                self._min_dist = (eps / 4.0) * self.index.nearest_neighbor_distances(cap=1.0)
+            self._min_dist = (eps / 4.0) * self.index.nearest_neighbor_distances(cap=1.0)
         return self._min_dist
 
     def csv_columns(self):
@@ -217,11 +224,11 @@ def sample_configuration(spec: ProcessSpec, replicate: int,
         m = int(math.floor(spec.domain.radius / spec.epsilon))
         axes = [np.arange(-m, m + 1, dtype=np.int64)] * spec.d
         u = coordinate_uniforms(spec.master_seed, replicate, np.ix_(*axes)).ravel()
-        keys = np.arange(u.size)
+        keys = None
         if spec.domain.shape != "axis_cube":
-            whole_box = MarkedConfiguration(spec, replicate, u, site_keys=keys)
-            keep = spec.domain.contains(whole_box.centers())
-            u, keys = u[keep], keys[keep]
+            whole_box = MarkedConfiguration(spec, replicate, u)
+            keys = np.flatnonzero(spec.domain.contains(whole_box.centers()))
+            u = u[keys]
         return MarkedConfiguration(spec, replicate, spec.marks.quantile(u), site_keys=keys)
 
     pts, rho = _poisson_draw(spec, replicate_generator(spec.master_seed, replicate))
@@ -259,7 +266,7 @@ def check_delta(d: int, delta: float) -> None:
 
 
 def thin_configuration(config: MarkedConfiguration, delta: float) -> np.ndarray:
-    """Indices of points whose hole is both small and well separated.
+    """Boolean mask of the points whose hole is both small and well separated.
 
     A point survives when its hole radius is at most eps^(1+delta) and the
     minimal distance is at least 2*sqrt(d) times the hole radius; these are
@@ -269,9 +276,10 @@ def thin_configuration(config: MarkedConfiguration, delta: float) -> np.ndarray:
     check_delta(d, delta)
     eps = config.spec.epsilon
     a = config.hole_radii()
-    r = config.minimal_distances()
-    keep = (a <= eps ** (1.0 + delta)) & (r >= 2.0 * math.sqrt(d) * a)
-    return np.flatnonzero(keep)
+    keep = a <= eps ** (1.0 + delta)
+    a *= 2.0 * math.sqrt(d)
+    keep &= config.minimal_distances() >= a
+    return keep
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .corrector import CorrectorField, build_capacity_measure, c0_constant
-from .covering import RandomCovering, build_cube_covering, build_random_covering, mesoscale_k
+from .covering import (RandomCovering, build_cube_covering, build_random_covering,
+                       check_interior_cell, mesoscale_k)
 from .marks import MarkDistribution
 from .partition import (bad_capacity_sum, check_partition_scale, overlap_pairs,
                         partition_configuration)
@@ -119,11 +120,12 @@ def pair_overlap_probability(marks: MarkDistribution, scale: float, s: float,
         dens = _mark_density(marks, rho)
         return tail_t((s - scale * rho) / scale) * dens * rho
 
-    lo = _mark_support_lo(marks)
+    # the mark support: [lo, hi] for uniform marks, [x_min, inf) for pareto
+    lo, sup = marks.params if marks.kind == "uniform" else (marks.params[1], math.inf)
     if s > 1.0:
         # the partner radius is capped at one, so only a1 > s - 1 can help
         lo = max(lo, (s - 1.0) / scale)
-    hi = min(top / scale, _mark_support_hi(marks), mark_cap)
+    hi = min(top / scale, sup, mark_cap)
     if hi > lo:
         val, _ = quad(integrand, math.log(lo), math.log(hi), limit=200)
         p += val
@@ -140,14 +142,6 @@ def _mark_density(marks: MarkDistribution, rho: float) -> float:
         alpha, x = marks.params
         return alpha * x ** alpha * rho ** (-alpha - 1.0) if rho >= x else 0.0
     raise ValueError("no density for constant marks")
-
-
-def _mark_support_lo(marks: MarkDistribution) -> float:
-    return marks.params[0] if marks.kind == "uniform" else marks.params[1]
-
-
-def _mark_support_hi(marks: MarkDistribution) -> float:
-    return marks.params[1] if marks.kind == "uniform" else math.inf
 
 
 def expected_overlap_pairs(spec: ProcessSpec, epsilon: float,
@@ -200,26 +194,26 @@ def expected_overlap_pairs(spec: ProcessSpec, epsilon: float,
 
 def capacity_weights(config: MarkedConfiguration, idx: np.ndarray,
                      outer: Optional[np.ndarray] = None) -> np.ndarray:
-    """Normalized per-point capacity contributions Y.
+    """Normalized capacity contributions Y of the points idx (indices or mask).
 
     Y equals the annulus capacity divided by c_d eps^d; for the lattice the
     outer radius is eps/4, otherwise the (trimmed) minimal distance must be
     supplied.  A nonpositive denominator means the inner ball reaches the
     outer sphere, which the thinning is supposed to prevent.
     """
-    d = config.spec.d
-    eps = config.spec.epsilon
-    rho = config.rho[idx]
+    d, eps = config.spec.d, config.spec.epsilon
+    y = config.rho[idx]
+    y **= d - 2
     if config.is_lattice and outer is None:
-        den = 1.0 - 4.0 ** (d - 2) * eps ** 2 * rho ** (d - 2)
+        den = y * (4.0 ** (d - 2) * eps ** 2)
     else:
-        if outer is None:
-            outer = config.minimal_distances()[idx]
-        big = np.asarray(outer, dtype=float) ** (d - 2)
-        den = 1.0 - eps ** d * rho ** (d - 2) / big
+        big = config.minimal_distances()[idx] if outer is None else np.asarray(outer, dtype=float)
+        den = y * eps ** d / big ** (d - 2)
+    np.subtract(1.0, den, out=den)
     if np.any(den <= 0):
         raise ValueError("hole reaches its outer sphere; thin the configuration first")
-    return rho ** (d - 2) / den
+    y /= den
+    return y
 
 
 def cell_capacity_averages(config: MarkedConfiguration, covering, delta: float) -> np.ndarray:
@@ -232,18 +226,17 @@ def cell_capacity_averages(config: MarkedConfiguration, covering, delta: float) 
     return _cell_averages(config, covering, thin_configuration(config, delta))
 
 
-def _cell_averages(config: MarkedConfiguration, covering, thinned: np.ndarray) -> np.ndarray:
+def _cell_averages(config: MarkedConfiguration, covering, keep: np.ndarray) -> np.ndarray:
+    """Cell sums of Y over the points of the thinning mask keep, each cell's
+    sum accumulated in point order, then normalised."""
     if isinstance(covering, RandomCovering):
-        base = covering.base
-        if not np.array_equal(thinned, covering.thinned):
+        if not np.array_equal(np.flatnonzero(keep), covering.thinned):
             raise ValueError("covering was built for a different thinned set")
-        y = capacity_weights(config, thinned, outer=covering.tilde_r)
-        s = np.zeros(base.n_cells)
-        np.add.at(s, covering.cell_of, y)
+        y = capacity_weights(config, covering.thinned, outer=covering.tilde_r)
+        s = np.bincount(covering.cell_of, weights=y, minlength=covering.base.n_cells)
         return s * config.spec.epsilon ** config.spec.d / covering.volumes
-    y = capacity_weights(config, thinned)
-    s = np.zeros(covering.n_cells)
-    np.add.at(s, covering.point_cell[thinned], y)
+    y = capacity_weights(config, keep)
+    s = np.bincount(covering.point_cell[keep], weights=y, minlength=covering.n_cells)
     return s / float(covering.k) ** config.spec.d
 
 
@@ -266,12 +259,11 @@ def quenched_error_surrogate(config: MarkedConfiguration, partition, covering,
     d, eps = spec.d, spec.epsilon
     if len(config) == 0:
         return 0.0
-    thinned = thin_configuration(config, delta)
-    rho_t = config.rho[thinned]
+    keep = thin_configuration(config, delta)
     center = density_centering(spec)
 
     base = covering.base if isinstance(covering, RandomCovering) else covering
-    s_vals = _cell_averages(config, covering, thinned)
+    s_vals = _cell_averages(config, covering, keep)
     live = base.meets_domain
     interior = base.interior & live
     boundary = live & ~interior
@@ -280,18 +272,16 @@ def quenched_error_surrogate(config: MarkedConfiguration, partition, covering,
     t_bnd = float(dev[boundary].mean()) if np.any(boundary) else 0.0
 
     ke = k * eps
+    sq = config.rho[keep]
+    sq **= 2 * (d - 2)                     # squared capacity weight rho^(2(d-2))
     if isinstance(covering, RandomCovering):
         weight = (eps / covering.tilde_r) ** d
-        t_second = ke ** 2 * eps ** d * float(np.sum(rho_t ** (2 * (d - 2)) * weight))
+        t_second = ke ** 2 * eps ** d * float(np.sum(sq * weight))
         # points in the outer shell of their cell (outside the k-1 core)
-        x = config.centers(thinned)
-        cells = covering.cell_of
-        face_dist = np.minimum(x - base.lo[cells], base.hi[cells] - x).min(axis=1)
-        in_band = face_dist < eps / 2.0
-        t_band = eps ** (d + 2.0 * d / (d + 2)) * float(
-            np.sum(rho_t[in_band] ** (2 * (d - 2))))
+        face = base.face_distances(config.centers(covering.thinned), covering.cell_of)
+        t_band = eps ** (d + 2.0 * d / (d + 2)) * float(np.sum(sq[face < eps / 2.0]))
     else:
-        t_second = ke ** 2 * eps ** d * float(np.sum(rho_t ** (2 * (d - 2))))
+        t_second = ke ** 2 * eps ** d * float(np.sum(sq))
         t_band = 0.0
     t_bad = bad_capacity_sum(config, partition)
     return (math.sqrt(t_second + t_bad)
@@ -333,7 +323,8 @@ def resolve_delta(spec: ProcessSpec, delta: Optional[float] = None) -> float:
 def check_quantity(spec: ProcessSpec, quantity: str, epsilon_grid, params: dict) -> None:
     """Refuse from the arguments alone what ``evaluate_quantity`` would refuse
     at some epsilon of the grid: an unknown quantity or an epsilon outside (0, 1),
-    then the delta (and, on lattice partitions, eps^delta) and k where used."""
+    then the delta (and, on lattice partitions, eps^delta) and k where used,
+    and for ``s_variance``, which averages over them, no interior cell."""
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
     specs = [spec.with_epsilon(eps) for eps in epsilon_grid]   # each eps in (0, 1)
@@ -343,7 +334,9 @@ def check_quantity(spec: ProcessSpec, quantity: str, epsilon_grid, params: dict)
     partitions = quantity in ("bad_capacity", "det_rhs") and spec.process == "lattice"
     for s in specs:
         check_partition_scale(s.d, s.epsilon, delta, partitions)
-        if quantity in ("s_variance", "det_rhs"):
+        if quantity == "s_variance":
+            check_interior_cell(s, params.get("k"))
+        elif quantity == "det_rhs":
             mesoscale_k(s, params.get("k"))
 
 
@@ -370,8 +363,6 @@ def evaluate_quantity(spec: ProcessSpec, quantity: str, replicate: int,
         base = cov.base if isinstance(cov, RandomCovering) else cov
         s_vals = cell_capacity_averages(config, cov, delta)
         interior = base.interior & base.meets_domain
-        if not np.any(interior):
-            raise RuntimeError("no interior cells; enlarge the domain or reduce k*eps")
         return float(np.mean((s_vals[interior] - density_centering(spec)) ** 2))
 
     # quantity == "hminus": grid dual norm of the capacity density mismatch

@@ -28,18 +28,21 @@ _INV53 = 1.0 / (1 << 53)
 
 
 def _splitmix64(x):
-    """Vectorised splitmix64 finaliser (uint64 in, uint64 out)."""
+    """Vectorised splitmix64 finaliser, in place on a uint64 array the caller owns."""
     with np.errstate(over="ignore"):
-        x = x + _GOLDEN
-        x = (x ^ (x >> _U64(30))) * _MIX1
-        x = (x ^ (x >> _U64(27))) * _MIX2
-        return x ^ (x >> _U64(31))
+        x += _GOLDEN
+        x ^= x >> _U64(30)
+        x *= _MIX1
+        x ^= x >> _U64(27)
+        x *= _MIX2
+        x ^= x >> _U64(31)
+    return x
 
 
 def stream_key(master_seed: int, replicate: int) -> int:
     """64-bit key identifying the (seed, replicate) stream."""
-    a = _splitmix64(np.asarray(master_seed, dtype=np.int64).view(_U64))
-    b = _splitmix64(np.asarray(replicate + 0x51AF, dtype=np.int64).view(_U64))
+    a = _splitmix64(np.array(master_seed, dtype=np.int64).view(_U64))
+    b = _splitmix64(np.array(replicate + 0x51AF, dtype=np.int64).view(_U64))
     return int(_splitmix64(a ^ (b << _U64(1))))
 
 
@@ -64,4 +67,5 @@ def coordinate_uniforms(master_seed: int, replicate: int, coords) -> np.ndarray:
         for axis, col in enumerate(cols):
             col = np.ascontiguousarray(col, dtype=np.int64).view(np.uint64)
             h = _splitmix64(h ^ (col * _AXIS_SALT[axis % len(_AXIS_SALT)]))
-    return (h >> _U64(11)).astype(np.float64) * _INV53
+    h >>= _U64(11)                      # the top 53 bits, scaled into one new array
+    return np.multiply(h, _INV53, out=np.empty(h.shape))

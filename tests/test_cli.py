@@ -217,6 +217,11 @@ _LATTICE_HALF = {"d": 3, "epsilon": 0.125, "process": "lattice",
     ("rates", {"k": 9, "spec": _LATTICE_HALF, "quantity": "s_variance", "replicates": 30,
                "epsilon_grid": [1 / 8, 1 / 12, 1 / 16, 1 / 24]},
      "k*eps = 1.125 exceeds the domain scale"),
+    # at eps = 1/8 the cells of side k*eps = 1/2 span the domain's radius,
+    # so none lies inside it at distance eps
+    ("rates", {"k": 4, "spec": _LATTICE_HALF, "quantity": "s_variance", "replicates": 30,
+               "epsilon_grid": [1 / 8, 1 / 12, 1 / 16, 1 / 24]},
+     "no cell of side k*eps = 0.5 is interior to the domain"),
     ("rates", {"quantity": "nope"}, "unknown quantity 'nope'"),
     ("solve", {"delta": 0}, "delta must lie in"),
     ("mecke", {"trials": 1}, "at least 2 trials"),
@@ -233,7 +238,7 @@ _LATTICE_HALF = {"d": 3, "epsilon": 0.125, "process": "lattice",
                "replicates": 30}, "epsilon must lie in (0, 1)"),
 ], ids=["partition_delta", "corrector_delta", "covering_k", "covering_fractional_k",
         "covering_delta", "rates_k", "covering_oversized_k", "rates_oversized_k",
-        "rates_quantity", "solve_delta", "mecke_trials", "mecke_lattice",
+        "rates_no_interior_cell", "rates_quantity", "solve_delta", "mecke_trials", "mecke_lattice",
         "mecke_functional", "mecke_window", "sample_replicate", "partition_replicate",
         "corrector_replicate", "covering_replicate", "solve_replicate", "hminus_epsilon",
         "rates_overlap_epsilon"])
@@ -393,8 +398,7 @@ def test_partition_guard_catches_a_planted_violation(tmp_path, capsys, monkeypat
     def contagion_point_moved_to_good(config, delta):
         part = real(config, delta)
         assert part.bad_I_tilde.size > 0
-        part.good = np.sort(np.append(part.good, part.bad_I_tilde[0]))
-        part.bad_I_tilde = part.bad_I_tilde[1:]
+        part.bad_I_tilde = part.bad_I_tilde[1:]         # good now holds it
         return part
 
     monkeypatch.setattr(cli, "partition_configuration", contagion_point_moved_to_good)

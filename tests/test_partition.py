@@ -171,8 +171,8 @@ def test_verify_detects_misclassified_point():
     # move a contaminated neighbour from bad to good by hand
     assert part.bad_I_tilde.size > 0
     moved = part.bad_I_tilde[0]
-    part.good = np.sort(np.append(part.good, moved))
     part.bad_I_tilde = part.bad_I_tilde[1:]
+    assert moved in part.good
     report = verify_partition(config, part)
     assert not report.ok
     failed = {c.name for c in report.checks if not c.passed}
@@ -203,14 +203,16 @@ def good_avoids_bad_region(config, part):
 
 
 def relabel_good(part, moved, drop_their_balls):
-    """Append bad points to the good ones, out of order; optionally drop
-    their own safety balls, so that only balls around other bad points
-    can be touched."""
+    """Take bad points out of their classes, which makes them good;
+    optionally drop their own safety balls, so that only balls around
+    other bad points can be touched."""
     if drop_their_balls:
         keep = ~np.isin(np.sort(part.bad), moved)    # safety balls follow index order
         part.safety_centers = part.safety_centers[keep]
         part.safety_radii = part.safety_radii[keep]
-    part.good = np.concatenate([part.good, moved])
+    for name in ("bad_J", "bad_K", "bad_C", "bad_I_tilde"):
+        setattr(part, name, np.setdiff1d(getattr(part, name), moved))
+    assert np.isin(moved, part.good).all()
 
 
 @pytest.mark.parametrize("eps", [1 / 12, 1 / 16])
@@ -238,20 +240,21 @@ def test_batched_safety_query_matches_loop_poisson(eps):
 
 def test_batched_safety_query_edge_cases():
     marks = MarkDistribution.pareto_for_beta(3, 0.5)
-    # lattice: J holes and their contagion, plain and with contagion points
-    # relabelled good, so that several good points touch one J ball (one
-    # of them listed twice)
+    # lattice: J holes and their contagion, plain and with the contagion
+    # points relabelled good, so that several good points touch one J ball;
+    # the lowest of them is named
     config = sample_configuration(make_spec(epsilon=0.125, marks=marks, half=0.5), 0)
     part = partition_configuration(config, 0.8)
     contagion = part.bad_I_tilde
     assert part.bad_J.size and contagion.size > 1
     assert good_avoids_bad_region(config, part) == loop_good_avoids_bad_region(config, part)
-    relabel_good(part, np.concatenate([contagion[1:2], contagion[::-1]]), drop_their_balls=True)
+    relabel_good(part, contagion, drop_their_balls=True)
     want = loop_good_avoids_bad_region(config, part)
-    assert want == (False, f"good point {contagion[1]} touches safety ball 0")
+    assert want == (False, f"good point {contagion[0]} touches safety ball 0")
     assert good_avoids_bad_region(config, part) == want
     # no good points
-    part.good = np.empty(0, dtype=np.int64)
+    part.bad_I_tilde = np.setdiff1d(np.arange(len(config)), part.bad)
+    assert part.good.size == 0
     assert good_avoids_bad_region(config, part) == (True, "")
     # no bad points
     config = sample_configuration(make_spec(epsilon=0.125, half=0.5), 0)

@@ -126,6 +126,74 @@ def test_coordinate_uniforms_pinned_bits():
     assert u.view(np.uint64).tolist() == [0x3FDA32E38F7882B8]
 
 
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def test_stream_keys_and_uniforms_golden():
+    # values of the out-of-place hash; the in-place one must keep every bit
+    from holelab.rng import stream_key
+    assert [stream_key(s, r) for s, r in [(0, 0), (1, 0), (0, 1), (12345, 7), (2 ** 62, 3)]] == [
+        6164779485010557258, 11492999591610902682, 14288588281631457356,
+        13890719258124845040, 16731122088856085981]
+    seed = np.array(5)
+    assert stream_key(seed, 2) == 16495592772954067009
+    assert seed == 5 and seed.dtype != np.uint64          # a 0-d seed is not rewritten
+    assert hexes(coordinate_uniforms(np.array(3), 1, np.array([[0, 0, 0]]))) == [
+        "0x1.ba0cf2931157ap-2"]
+    rows = np.array([[0, 0, 0], [1, -2, 3], [-5, 4, 0], [7, 7, 7], [-1, -1, -1]])
+    assert hexes(coordinate_uniforms(11, 2, rows)) == [
+        "0x1.fe7392fff0610p-3", "0x1.82b10c8cbca28p-4", "0x1.5b0e09f2b3fb2p-2",
+        "0x1.68fa004be521fp-1", "0x1.c969e3b9f610cp-2"]
+    ax = np.arange(-1, 2)
+    cube = coordinate_uniforms(4, 0, np.ix_(ax, ax, ax))
+    assert cube.shape == (3, 3, 3)
+    assert hexes(cube.ravel()[[0, 5, 13, 26]]) == [
+        "0x1.3de7a712a69f4p-2", "0x1.e193a38d42ce8p-1", "0x1.e6f6c2a356478p-2",
+        "0x1.6b0ec4d6375dep-2"]
+    one = coordinate_uniforms(9, 1, (np.int64(2), np.int64(-3), np.int64(4)))
+    assert one.shape == (1,) and hexes(one) == ["0x1.1dfe54e1a0e54p-1"]
+
+
+@pytest.mark.parametrize("marks, want, at_03", [
+    (MarkDistribution.pareto_for_beta(3, 0.5),
+     ["0x1.9f114d49730acp-4", "0x1.f3b7a6497ff8fp-4", "0x1.4490a5b7ebcbep-3",
+      "0x1.1781cc1154672p+3", "0x1.c3e593a53a470p-4"], "0x1.053b44a8f7cf1p-3"),
+    (MarkDistribution.pareto(2.0, 0.3, 3),
+     ["0x1.3333333333333p-2", "0x1.62b9586ad0a21p-2", "0x1.b27247aff148fp-2",
+      "0x1.2f9422c23c47bp+3", "0x1.481f1396a988bp-2"], "0x1.6f2c9a420071ep-2"),
+    (MarkDistribution.pareto(3.0, 0.3, 3),
+     ["0x1.3333333333333p-2", "0x1.521e0aab1c063p-2", "0x1.830c391dcefdap-2",
+      "0x1.7fffffffffffdp+1", "0x1.40fe6fac91fc7p-2"], "0x1.59fbbcc06efbbp-2"),
+    (MarkDistribution.uniform(0.5, 2.0),
+     ["0x1.0000000000000p-1", "0x1.c000000000000p-1", "0x1.4000000000000p+0",
+      "0x1.ff9db22d0e560p+0", "0x1.5ed097a5ac2a2p-1"], "0x1.e666666666666p-1"),
+    (MarkDistribution.constant(1.5), ["0x1.8000000000000p+0"] * 5, "0x1.8000000000000p+0"),
+], ids=["pareto-beta0.5", "pareto-alpha2", "pareto-alpha3", "uniform", "constant"])
+def test_mark_quantiles_golden(marks, want, at_03):
+    u = np.array([0.0, 0.25, 0.5, 0.999, 0.123456789])
+    kept = u.copy()
+    assert hexes(marks.quantile(u)) == want
+    assert np.array_equal(u, kept)                          # the input is not overwritten
+    for scalar in (0.3, np.array(0.3)):
+        q = marks.quantile(scalar)
+        assert np.ndim(q) == 0 and hexes(q) == [at_03]
+
+
+@pytest.mark.parametrize("shape, n, digest", [
+    ("axis_cube", 35937, "738fac796ccb4b8b8437070d963f204ef1c58ca86e5aaf22291646f2272f83b8"),
+    ("unit_ball", 17077, "e050a5fc35daefd895dc55623394073bc8290c1898d19b87d0411904911ee7bd"),
+])
+def test_lattice_marks_golden(shape, n, digest):
+    import hashlib
+    spec = ProcessSpec(d=3, epsilon=1 / 16, process="lattice",
+                       marks=MarkDistribution.pareto_for_beta(3, 0.5),
+                       domain=DomainDescriptor(shape, 1.0), master_seed=42)
+    config = sample_configuration(spec, 3)
+    assert len(config) == n
+    assert hashlib.sha256(config.rho.tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("domain", ["axis_cube", "unit_ball"])
 def test_lattice_marks_hash_their_site(domain):
     marks = MarkDistribution.pareto_for_beta(3, 0.5)
@@ -199,6 +267,20 @@ def test_lattice_minimal_distances_need_no_tree(domain, eps):
     assert len(config) > 1 or domain.half_width < eps
 
 
+def test_lattice_minimal_distances_allocate_nothing_per_site():
+    import tracemalloc
+    config = sample_configuration(cube_spec(epsilon=1 / 32), 0)
+    tracemalloc.start()
+    try:
+        got = config.minimal_distances()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (len(config),) and np.all(got == (1 / 32) / 4)
+    assert peak < 8 * len(config) / 100
+    assert got.strides == (0,) and not got.flags.writeable
+
+
 def test_minimal_distance_pair_and_cap():
     spec = cube_spec("poisson", epsilon=0.1, lam=1.0)
     # two points at rescaled distance 0.5 along an axis
@@ -220,7 +302,7 @@ def test_minimal_distance_single_point():
 def test_thinning_keeps_all_small_unit_marks():
     config = sample_configuration(cube_spec(epsilon=0.1), 0)
     kept = thin_configuration(config, 0.8)
-    assert kept.size == len(config)
+    assert kept.dtype == bool and kept.shape == (len(config),) and kept.all()
 
 
 def test_thinning_rejects_threshold_radius():
@@ -229,7 +311,7 @@ def test_thinning_rejects_threshold_radius():
     # hole radius = eps
     config = MarkedConfiguration(spec, 0, np.array([eps ** (-2.0 / (3 - 2))]),
                                  points=np.zeros((1, 3)))
-    assert thin_configuration(config, 0.8).size == 0
+    assert not thin_configuration(config, 0.8).any()
 
 
 def test_thinning_matches_bruteforce():
@@ -246,7 +328,7 @@ def test_thinning_matches_bruteforce():
         r = eps / 4 * min(diff.min(), 1.0)
         if a[i] <= eps ** (1 + delta) and r >= 2 * math.sqrt(d) * a[i]:
             keep.append(i)
-    assert np.array_equal(thin_configuration(config, delta), np.array(keep))
+    assert np.array_equal(np.flatnonzero(thin_configuration(config, delta)), np.array(keep))
 
 
 def test_moments():

@@ -182,6 +182,139 @@ def test_surrogate_poisson_matches_reimplementation():
     assert np.count_nonzero(shell) > 0
 
 
+# ----------------------------------------------------------------------
+# the mask and bincount path against the index and np.add.at arithmetic
+# ----------------------------------------------------------------------
+
+def reference_thinned(config, delta):
+    """Thinned indices, the lattice minimal distance as a full array."""
+    d, eps = config.spec.d, config.spec.epsilon
+    a = config.hole_radii()
+    r = np.full(len(config), eps / 4.0) if config.is_lattice else config.minimal_distances()
+    return np.flatnonzero((a <= eps ** (1.0 + delta)) & (r >= 2.0 * math.sqrt(d) * a))
+
+
+def reference_weights(config, idx, outer=None):
+    d, eps = config.spec.d, config.spec.epsilon
+    rho = config.rho[idx]
+    if config.is_lattice and outer is None:
+        den = 1.0 - 4.0 ** (d - 2) * eps ** 2 * rho ** (d - 2)
+    else:
+        den = 1.0 - eps ** d * rho ** (d - 2) / np.asarray(outer, dtype=float) ** (d - 2)
+    return rho ** (d - 2) / den
+
+
+def reference_cell_averages(config, covering, thinned):
+    """Cell sums by np.add.at over int64 cell indices of every point."""
+    d, eps = config.spec.d, config.spec.epsilon
+    if hasattr(covering, "base"):
+        y = reference_weights(config, thinned, outer=covering.tilde_r)
+        s = np.zeros(covering.base.n_cells)
+        np.add.at(s, covering.cell_of.astype(np.int64), y)
+        return s * eps ** d / covering.volumes
+    point_cell = covering.cell_of_points(config.centers())
+    assert point_cell.dtype == np.int64 and np.array_equal(point_cell, covering.point_cell)
+    s = np.zeros(covering.n_cells)
+    np.add.at(s, point_cell[thinned], reference_weights(config, thinned))
+    return s / float(covering.k) ** d
+
+
+def reference_quantity(config, quantity, delta, k):
+    """bad_capacity, det_rhs or s_variance as computed before the mask path."""
+    from holelab import bad_capacity_sum
+    spec = config.spec
+    d, eps = spec.d, spec.epsilon
+    part = partition_configuration(config, delta)
+    if quantity == "bad_capacity":
+        return bad_capacity_sum(config, part)
+    cov = build_cube_covering(config, k) if config.is_lattice \
+        else build_random_covering(config, k, delta)
+    base = cov.base if hasattr(cov, "base") else cov
+    thinned = reference_thinned(config, delta)
+    s_vals = reference_cell_averages(config, cov, thinned)
+    center = density_centering(spec)
+    interior = base.interior & base.meets_domain
+    if quantity == "s_variance":
+        return float(np.mean((s_vals[interior] - center) ** 2))
+    boundary = base.meets_domain & ~interior
+    dev = (s_vals - center) ** 2
+    t_int = float(dev[interior].mean()) if np.any(interior) else 0.0
+    t_bnd = float(dev[boundary].mean()) if np.any(boundary) else 0.0
+    rho_t, ke = config.rho[thinned], k * eps
+    if hasattr(cov, "base"):
+        weight = (eps / cov.tilde_r) ** d
+        t_second = ke ** 2 * eps ** d * float(np.sum(rho_t ** (2 * (d - 2)) * weight))
+        x = config.centers(thinned)
+        face = np.minimum(x - base.lo[cov.cell_of], base.hi[cov.cell_of] - x).min(axis=1)
+        t_band = eps ** (d + 2.0 * d / (d + 2)) * float(
+            np.sum(rho_t[face < eps / 2.0] ** (2 * (d - 2))))
+    else:
+        t_second = ke ** 2 * eps ** d * float(np.sum(rho_t ** (2 * (d - 2))))
+        t_band = 0.0
+    return (math.sqrt(t_second + bad_capacity_sum(config, part))
+            + math.sqrt(t_int + ke ** 3 * t_bnd) + math.sqrt(t_band))
+
+
+@pytest.mark.parametrize("shape", ["axis_cube", "unit_ball"])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_lattice_quantities_match_index_reference(shape, n):
+    from holelab.covering import mesoscale_k
+    marks = MarkDistribution.pareto_for_beta(3, 0.5)
+    spec = ProcessSpec(d=3, epsilon=1 / n, process="lattice", marks=marks,
+                       domain=DomainDescriptor(shape, 1.0), master_seed=2)
+    config = sample_configuration(spec, 1)
+    delta, k = 0.8, mesoscale_k(spec)
+    assert np.array_equal(np.flatnonzero(thin_configuration(config, delta)),
+                          reference_thinned(config, delta))
+    assert partition_configuration(config, delta).bad.size > 0
+    for quantity in ("bad_capacity", "det_rhs", "s_variance"):
+        got = evaluate_quantity(spec, quantity, 1, {"delta": delta})
+        assert got == reference_quantity(config, quantity, delta, k), quantity
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_random_covering_quantities_match_index_reference(n):
+    from holelab.covering import mesoscale_k
+    spec = spec_for("poisson", eps=1 / n, marks=MarkDistribution.pareto_for_beta(3, 2.0),
+                    seed=4)
+    config = sample_configuration(spec, 2)
+    delta, k = 1.4, mesoscale_k(spec)
+    assert np.array_equal(np.flatnonzero(thin_configuration(config, delta)),
+                          reference_thinned(config, delta))
+    for quantity in ("s_variance", "det_rhs"):
+        got = evaluate_quantity(spec, quantity, 2, {"delta": delta})
+        assert got == reference_quantity(config, quantity, delta, k), quantity
+
+
+@pytest.mark.parametrize("process", ["lattice", "poisson"])
+def test_good_is_the_complement_of_bad(process):
+    marks = MarkDistribution.pareto_for_beta(3, 0.5)
+    config = sample_configuration(spec_for(process, eps=1 / 12, marks=marks, seed=5), 0)
+    part = partition_configuration(config, 0.8)
+    assert part.bad.size > 0 and part.n_points == len(config)
+    want = np.setdiff1d(np.arange(len(config)), part.bad)
+    assert part.good.dtype == np.int64 and np.array_equal(part.good, want)
+    assert "good" not in vars(part)                        # derived, not stored
+
+
+def test_lattice_det_rhs_peak_memory_per_site():
+    # one eps = 1/32 replicate holds its marks (8 bytes a site) and little
+    # else: before the mask path the peak was 81 bytes a site (22 MB); it is
+    # now about 30, and the bound leaves a third of that as margin
+    import tracemalloc
+    marks = MarkDistribution.pareto_for_beta(3, 0.5)
+    spec = spec_for(eps=1 / 32, marks=marks, seed=1)
+    evaluate_quantity(spec.with_epsilon(1 / 8), "det_rhs", 0, {"delta": 0.8})   # warm caches
+    tracemalloc.start()
+    try:
+        value = evaluate_quantity(spec, "det_rhs", 0, {"delta": 0.8})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0
+    assert peak / 65 ** 3 < 40.0, f"{peak / 65 ** 3:.1f} bytes per site"
+
+
 def test_det_rhs_thins_once_per_replicate(monkeypatch):
     # the surrogate's cell averages reuse its thinned indices
     import holelab.rates as rates
