@@ -1,8 +1,8 @@
 """Command-line driver: every pipeline as a subcommand with JSON configs.
 
-Exit codes: 0 pass, 1 quantitative check failed, 2 usage or config error,
-3 runtime error.  All outputs are written atomically.  Flags override
-config keys; unknown config keys are rejected.
+Exit codes: 0 pass, 1 check failed (the command's ``Verdict`` or verifier),
+2 usage or config error, 3 runtime error.  All outputs are written
+atomically.  Flags override config keys; unknown config keys are rejected.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from . import __version__
 from .corrector import CorrectorField, build_capacity_measure, c0_constant, corrector_energy
 from .covering import (build_cube_covering, build_random_covering, mesoscale_k,
                        verify_random_covering)
-from .experiments import exponent_table, hminus_setup, mecke_spec, periodic_hminus_rate
+from .experiments import (HMINUS_TARGET, HMINUS_TOLERANCE, MeckeResult, exponent_table,
+                          hminus_setup, mecke_spec, periodic_hminus_rate)
 from .io_utils import write_csv, write_field, write_json
 from .partition import check_partition_scale, partition_configuration, verify_partition
 from .pde import Grid, homogenization_error, homogenized_solve, solve_perforated
@@ -100,6 +101,12 @@ def _workers(args) -> int:
 def _out(args, name: str) -> str:
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
+
+
+def _judged(summary: str, verdict) -> tuple:
+    """(1, summary FAIL) if the verdict failed, else (0, summary pass); None passes."""
+    ok = verdict is None or verdict.passed
+    return (0 if ok else 1), f"{summary} {'pass' if ok else 'FAIL'}"
 
 
 # ----------------------------------------------------------------------
@@ -206,10 +213,8 @@ def _cmd_rates(args, cfg):
     theo = theoretical_exponents(spec.d, spec.marks.beta_eff, spec.marks)
     fit = fit_rate(stat, theo=theo, tolerance=cfg.get("tolerance", 0.2))
     write_json(_out(args, f"fit_{quantity}.json"), dict(fit.to_json(), quantity=quantity))
-    verdict = "pass" if fit.passed or fit.passed is None else "FAIL"
-    code = 0 if fit.passed in (True, None) else 1
-    return code, (f"rates[{quantity}]: slope={fit.slope:.4f} ci=({fit.ci[0]:.3f},{fit.ci[1]:.3f})"
-                  f" theo={fit.theoretical} {verdict}")
+    return _judged(f"rates[{quantity}]: slope={fit.slope:.4f}"
+                   f" ci=({fit.ci[0]:.3f},{fit.ci[1]:.3f}) theo={fit.theoretical}", fit.verdict)
 
 
 def _cmd_hminus(args, cfg):
@@ -222,9 +227,9 @@ def _cmd_hminus(args, cfg):
     result = periodic_hminus_rate(grid, grid_n=n, seed=seed)
     write_csv(_out(args, "hminus.csv"), ["epsilon", "norm"], (result.epsilons, result.norms))
     write_json(_out(args, "hminus_fit.json"),
-               {"slope": result.slope, "r2": result.r2, "pass": result.passed})
-    return (0 if result.passed else 1), \
-        f"hminus: slope={result.slope:.4f} (target 1.0 +- 0.25) {'pass' if result.passed else 'FAIL'}"
+               {"slope": result.slope, "r2": result.r2, "pass": result.verdict.passed})
+    return _judged(f"hminus: slope={result.slope:.4f}"
+                   f" (target {HMINUS_TARGET} +- {HMINUS_TOLERANCE})", result.verdict)
 
 
 def _cmd_solve(args, cfg):
@@ -262,15 +267,13 @@ def _cmd_mecke(args, cfg):
         check_mecke_arguments(spec, name, trials)
     if args.dry_run:
         return 0, f"mecke: would run {names} at {trials} trials"
-    reports = [mecke_check(spec, name, trials) for name in names]
+    result = MeckeResult([mecke_check(spec, name, trials) for name in names])
     write_csv(_out(args, "mecke.csv"),
               ["functional", "trials", "lhs", "lhs_se", "rhs", "rhs_se", "z"],
-              [[getattr(r, name) for r in reports] for name in
+              [[getattr(r, name) for r in result.reports] for name in
                ("functional", "trials", "lhs", "lhs_se", "rhs", "rhs_se", "z_score")])
-    worst = max(abs(r.z_score) for r in reports)
-    ok = worst < 4.0
-    return (0 if ok else 1), f"mecke: max |z| = {worst:.3f} over {len(reports)} functionals" \
-                             f" {'pass' if ok else 'FAIL'}"
+    return _judged(f"mecke: max |z| = {result.verdict.value:.3f}"
+                   f" over {len(names)} functionals", result.verdict)
 
 
 def _cmd_exponents(args, cfg):

@@ -1,8 +1,10 @@
 """End-to-end experiment drivers shared by the CLI and the verification suite.
 
 Each driver pins its own geometry, marks, and sample sizes, runs the
-pipeline, and returns a small result object with a pass verdict where a
-quantitative target exists.
+pipeline, and returns a small result object: its data plus one
+``verdict``, the ``Verdict`` that states its pass rule, written once
+here.  A rule over several values is one verdict, its worst member.  The
+CLI's exit codes and summaries and the acceptance suite read that verdict.
 """
 
 from __future__ import annotations
@@ -15,14 +17,15 @@ from scipy.integrate import quad
 
 from .corrector import (CorrectorField, annulus_capacity, annulus_capacity_fd,
                         build_capacity_measure, c0_constant)
-from .covering import (build_random_covering, mesoscale_k, mesoscale_parameters,
-                       verify_random_covering)
+from .covering import (CoveringReport, build_random_covering, mesoscale_k,
+                       mesoscale_parameters, verify_random_covering)
 from .domain import DomainDescriptor
 from .marks import MarkDistribution
 from .pde import Grid, homogenization_error, homogenized_solve, solve_perforated
 from .process import MECKE_FUNCTIONALS, ProcessSpec, mecke_check, sample_configuration
-from .rates import (EnsembleStat, RateFit, check_quantity, ensemble_run, expected_overlap_pairs,
-                    fit_loglog, fit_rate, resolve_delta, theoretical_exponents)
+from .rates import (EnsembleStat, RateFit, Verdict, check_quantity, ensemble_run,
+                    expected_overlap_pairs, fit_loglog, fit_rate, resolve_delta,
+                    theoretical_exponents)
 
 DEFAULT_SEED = 20240501
 
@@ -57,11 +60,7 @@ def exponent_table(d: int, beta: float, epsilon: Optional[float] = None) -> dict
 @dataclass
 class CapacityOracleResult:
     rows: list
-    max_rel_error: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error < 1e-3
+    verdict: Verdict           # the largest relative error < 1e-3
 
 
 def capacity_oracle_check(n_triples: int = 20, seed: int = 0) -> CapacityOracleResult:
@@ -75,7 +74,8 @@ def capacity_oracle_check(n_triples: int = 20, seed: int = 0) -> CapacityOracleR
         exact = annulus_capacity(a, big, d)
         approx = annulus_capacity_fd(a, big, d)
         rows.append((d, a, big, exact, approx, abs(approx - exact) / exact))
-    return CapacityOracleResult(rows, max((row[-1] for row in rows), default=0.0))
+    return CapacityOracleResult(rows, Verdict(max((row[-1] for row in rows), default=0.0),
+                                              1e-3, "<"))
 
 
 @dataclass
@@ -83,11 +83,7 @@ class CellAverageResult:
     epsilons: list
     c_values: list             # |weight/eps^d - c0| / eps^2 per epsilon
     c0: float
-    finest_drift: float        # relative change between the two finest epsilons
-
-    @property
-    def passed(self) -> bool:
-        return self.finest_drift <= 0.05
+    verdict: Verdict           # relative change between the two finest epsilons <= 0.05
 
 
 def periodic_cell_average(epsilons=(0.25, 0.125, 0.0625), seed: int = DEFAULT_SEED) -> CellAverageResult:
@@ -110,7 +106,10 @@ def periodic_cell_average(epsilons=(0.25, 0.125, 0.0625), seed: int = DEFAULT_SE
         weight = float(mu.weights[0])
         c_vals.append(abs(weight / eps ** spec.d - c0) / eps ** 2)
     drift = abs(c_vals[-2] / c_vals[-1] - 1.0)
-    return CellAverageResult(list(epsilons), c_vals, c0, drift)
+    return CellAverageResult(list(epsilons), c_vals, c0, Verdict(drift, 0.05, "<="))
+
+
+HMINUS_TARGET, HMINUS_TOLERANCE = 1.0, 0.25       # the dual-norm slope band
 
 
 @dataclass
@@ -119,12 +118,7 @@ class HminusRateResult:
     norms: list
     slope: float
     r2: float
-    target: float = 1.0
-    tolerance: float = 0.25
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.slope - self.target) <= self.tolerance
+    verdict: Verdict           # |slope - HMINUS_TARGET| <= HMINUS_TOLERANCE
 
 
 def hminus_setup(epsilons, grid_n: int = 97, half_width: float = 0.5, seed: int = DEFAULT_SEED):
@@ -152,7 +146,8 @@ def periodic_hminus_rate(epsilons=(1 / 6, 1 / 8, 1 / 12, 1 / 16), grid_n: int = 
     stat = ensemble_run(spec, "hminus", epsilons, 1, params=params)
     norms = stat.samples[:, 0].tolist()
     slope, _, r2 = fit_loglog(epsilons, norms)
-    return HminusRateResult(list(epsilons), norms, slope, r2)
+    return HminusRateResult(list(epsilons), norms, slope, r2,
+                            Verdict(abs(slope - HMINUS_TARGET), HMINUS_TOLERANCE, "<="))
 
 
 @dataclass
@@ -164,10 +159,7 @@ class OverlapResult:
     expected_means: list
     asymptotic_exponent: float
     literature_orders: tuple
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.fit.passed)
+    verdict: Verdict           # the fit's: |slope - predicted| <= 0.2
 
 
 def overlap_experiment(beta: float = 0.5, epsilons=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
@@ -200,32 +192,19 @@ def overlap_experiment(beta: float = 0.5, epsilons=(1 / 8, 1 / 16, 1 / 32, 1 / 6
     theo = theoretical_exponents(3, beta, marks)
     fit = fit_rate(stat, target=predicted, tolerance=0.2)
     return OverlapResult(stat, fit, predicted, raw_slope, expected,
-                         theo.overlap_exponent, theo.overlap_ball_exponents)
-
-
-@dataclass
-class BadCapacityResult:
-    stat: EnsembleStat
-    fit: RateFit
-    threshold: float
-
-    @property
-    def passed(self) -> bool:
-        return self.fit.slope >= self.threshold
+                         theo.overlap_exponent, theo.overlap_ball_exponents, fit.verdict)
 
 
 def bad_capacity_experiment(beta: float = 0.5, delta: float = 0.8,
                             epsilons=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
-                            replicates: int = 200, seed: int = DEFAULT_SEED) -> BadCapacityResult:
-    """Annealed decay of the bad-hole capacity sum against the lower bound
-    (2/(d-2) - delta) * beta - 0.15 on the fitted slope."""
+                            replicates: int = 200, seed: int = DEFAULT_SEED) -> RateFit:
+    """Annealed decay of the bad-hole capacity sum: its fit, whose verdict is
+    the lower bound (2/(d-2) - delta) * beta - 0.15 on the fitted slope."""
     marks = MarkDistribution.pareto_for_beta(3, beta)
     spec = lattice_spec(marks, seed=seed)
     stat = ensemble_run(spec, "bad_capacity", epsilons, replicates,
                         params={"delta": delta})
-    threshold = (2.0 / (3 - 2) - delta) * beta - 0.15
-    fit = fit_rate(stat, target=(2.0 / (3 - 2) - delta) * beta, tolerance=0.15)
-    return BadCapacityResult(stat, fit, threshold)
+    return fit_rate(stat, target=(2.0 / (3 - 2) - delta) * beta, tolerance=0.15)
 
 
 def capacity_weight_variance(marks: MarkDistribution, d: int, eps: float):
@@ -254,8 +233,10 @@ class VarianceScalingResult:
     var_y: float
 
     @property
-    def passed(self) -> bool:
-        return all(0.5 <= r <= 2.0 for r in self.ratios)
+    def verdict(self) -> Verdict:
+        """The worst side of 0.5 <= ratio <= 2 over the ratios."""
+        return Verdict.worst(v for r in self.ratios
+                             for v in (Verdict(r, 0.5, ">="), Verdict(r, 2.0, "<=")))
 
 
 def variance_scaling_experiment(k_values=(4, 8, 16), replicates: int = 500,
@@ -282,8 +263,9 @@ class MeckeResult:
     reports: list
 
     @property
-    def passed(self) -> bool:
-        return all(abs(r.z_score) < 4.0 for r in self.reports)
+    def verdict(self) -> Verdict:
+        """The largest |z|, which must stay below 4."""
+        return Verdict.worst(Verdict(abs(r.z_score), 4.0, "<") for r in self.reports)
 
 
 def mecke_spec(seed: int = DEFAULT_SEED) -> ProcessSpec:
@@ -306,15 +288,8 @@ def mecke_experiment(trials: int = 10000, seed: int = DEFAULT_SEED) -> MeckeResu
 @dataclass
 class CoveringSoundnessResult:
     replicates: int
-    volume_violations: int
-    overlap_violations: int
-    dichotomy_violations: int
-    cells_checked: int
-
-    @property
-    def passed(self) -> bool:
-        return (self.volume_violations | self.overlap_violations
-                | self.dichotomy_violations) == 0
+    totals: CoveringReport     # violation and cell counts summed over the replicates
+    verdict: Verdict           # replicates whose report is not ok: none
 
 
 def covering_soundness_experiment(replicates: int = 100, epsilon: float = 1 / 16,
@@ -326,27 +301,29 @@ def covering_soundness_experiment(replicates: int = 100, epsilon: float = 1 / 16
     k, delta = mesoscale_k(spec), resolve_delta(spec)
     configs = (sample_configuration(spec, rep) for rep in range(replicates))
     reports = [verify_random_covering(build_random_covering(c, k, delta)) for c in configs]
-    totals = [sum(getattr(r, name) for r in reports) for name in
-              ("volume_violations", "overlap_violations", "dichotomy_violations", "n_cells")]
-    return CoveringSoundnessResult(replicates, *totals)
+    t = CoveringReport(*(sum(getattr(r, name) for r in reports) for name in
+                         ("volume_violations", "overlap_violations", "dichotomy_violations",
+                          "n_cells")))
+    return CoveringSoundnessResult(replicates, t, Verdict(sum(not r.ok for r in reports), 0, "<="))
 
 
 @dataclass
 class SurrogateRateResult:
     fits: dict                 # beta -> RateFit
-    thresholds: dict
 
     @property
-    def passed(self) -> bool:
-        return all(self.fits[b].slope >= self.thresholds[b] for b in self.fits)
+    def verdict(self) -> Verdict:
+        """The worst of the fits' verdicts."""
+        return Verdict.worst(fit.verdict for fit in self.fits.values())
 
 
 def surrogate_rate_experiment(betas=(0.5, 2.0),
                               epsilons=(1 / 8, 1 / 12, 1 / 16, 1 / 24, 1 / 32, 1 / 48, 1 / 64),
                               replicates: int = 40,
                               seed: int = DEFAULT_SEED) -> SurrogateRateResult:
-    """Decay of the ensemble-mean quenched error surrogate per mark tail."""
-    fits, thresholds = {}, {}
+    """Decay of the ensemble-mean quenched error surrogate per mark tail:
+    slope >= min(3 beta/5, 3/5) - 0.15, the predicted rate less the tolerance."""
+    fits = {}
     for beta in betas:
         marks = MarkDistribution.pareto_for_beta(3, beta)
         spec = lattice_spec(marks, seed=seed)
@@ -354,8 +331,7 @@ def surrogate_rate_experiment(betas=(0.5, 2.0),
         stat = ensemble_run(spec, "det_rhs", epsilons, replicates,
                             params={"delta": theo.delta})
         fits[beta] = fit_rate(stat, theo=theo, tolerance=0.15)
-        thresholds[beta] = min(3.0 * beta / 5.0, 3.0 / 5.0) - 0.15
-    return SurrogateRateResult(fits, thresholds)
+    return SurrogateRateResult(fits)
 
 
 @dataclass
@@ -364,10 +340,7 @@ class DeskSolveResult:
     errors: list
     omitted: list
     pinned: list
-
-    @property
-    def passed(self) -> bool:
-        return self.errors[-1] < self.errors[0]
+    verdict: Verdict           # the finest error below the coarsest
 
 
 def desk_solve_comparison(epsilons=(1 / 6, 1 / 12), grid_n: int = 97,
@@ -389,4 +362,5 @@ def desk_solve_comparison(epsilons=(1 / 6, 1 / 12), grid_n: int = 97,
         errors.append(homogenization_error(sol.u, fld, u_hom, grid))
         omitted.append(len(sol.omitted_holes))
         pinned.append(sol.pinned_nodes)
-    return DeskSolveResult(list(epsilons), errors, omitted, pinned)
+    return DeskSolveResult(list(epsilons), errors, omitted, pinned,
+                           Verdict(errors[-1], errors[0], "<"))

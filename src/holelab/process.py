@@ -226,8 +226,11 @@ def sample_configuration(spec: ProcessSpec, replicate: int,
         u = coordinate_uniforms(spec.master_seed, replicate, np.ix_(*axes)).ravel()
         keys = None
         if spec.domain.shape != "axis_cube":
-            whole_box = MarkedConfiguration(spec, replicate, u)
-            keys = np.flatnonzero(spec.domain.contains(whole_box.centers()))
+            # membership of the box's centres, one first-axis plane at a time
+            box, plane = MarkedConfiguration(spec, replicate, u), u.size // (2 * m + 1)
+            keys = np.flatnonzero(np.concatenate(
+                [spec.domain.contains(box.centers(np.arange(i, i + plane)))
+                 for i in range(0, u.size, plane)]))
             u = u[keys]
         return MarkedConfiguration(spec, replicate, spec.marks.quantile(u), site_keys=keys)
 

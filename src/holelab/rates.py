@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -419,8 +420,34 @@ def ensemble_run(spec: ProcessSpec, quantity: str, epsilon_grid, replicates: int
 
 
 # ----------------------------------------------------------------------
-# slope fitting
+# verdicts and slope fitting
 # ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Verdict:
+    """The pass rule of one quantitative check, ``value comparison bound``.
+    ``margin`` is signed: >= 0 inside an inclusive bound, > 0 inside a
+    strict one.  A NaN value fails under every comparison."""
+    _COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
+    value: float
+    bound: float
+    comparison: str            # "<" | "<=" | ">="
+
+    @property
+    def passed(self) -> bool:
+        return bool(self._COMPARE[self.comparison](self.value, self.bound))
+
+    @property
+    def margin(self) -> float:
+        return self.value - self.bound if self.comparison == ">=" else self.bound - self.value
+
+    @staticmethod
+    def worst(verdicts) -> "Verdict":
+        """The member deciding a rule that all verdicts must pass: a failing one
+        if any (NaN first, then the farthest out), else the one nearest its bound."""
+        return min(verdicts, key=lambda v: (v.passed, -math.inf if math.isnan(v.margin)
+                                            else v.margin))
+
 
 @dataclass
 class RateFit:
@@ -430,17 +457,18 @@ class RateFit:
     ci: tuple
     theoretical: Optional[float]
     tolerance: float
-    comparison: str            # "two_sided" | "at_least"
-    passed: Optional[bool]
+    verdict: Optional[Verdict]   # None without a target slope
     used_epsilons: list
     dropped: list = field(default_factory=list)
 
     def to_json(self) -> dict:
+        at_least = self.verdict is not None and self.verdict.comparison == ">="
         return {
             "slope": self.slope, "intercept": self.intercept, "r2": self.r2,
             "ci_lo": self.ci[0], "ci_hi": self.ci[1],
             "theoretical": self.theoretical, "tolerance": self.tolerance,
-            "comparison": self.comparison, "pass": self.passed,
+            "comparison": "at_least" if at_least else "two_sided",
+            "pass": None if self.verdict is None else self.verdict.passed,
             "epsilons": self.used_epsilons, "dropped": self.dropped,
         }
 
@@ -456,16 +484,9 @@ def fit_loglog(eps, values):
     return float(slope), float(intercept), r2
 
 
-_TARGET_FIELD = {
-    "bad_capacity": "bad_capacity_exponent",
-    "overlap_pairs": "overlap_exponent",
-    "det_rhs": "rate",
-}
-_COMPARISON = {
-    "bad_capacity": "at_least",
-    "det_rhs": "at_least",
-    "overlap_pairs": "two_sided",
-}
+_TARGET_FIELD = {"bad_capacity": "bad_capacity_exponent", "overlap_pairs": "overlap_exponent",
+                 "det_rhs": "rate"}
+_AT_LEAST = ("bad_capacity", "det_rhs")     # other targets are two-sided
 
 
 def check_fit_design(epsilon_grid, replicates: int) -> None:
@@ -479,7 +500,9 @@ def check_fit_design(epsilon_grid, replicates: int) -> None:
 
 def fit_rate(stat: EnsembleStat, theo: Optional[TheoreticalExponents] = None,
              target: Optional[float] = None, tolerance: float = 0.2) -> RateFit:
-    """Fit the decay exponent of the ensemble means and compare to theory.
+    """Fit the decay exponent of the ensemble means and compare to theory:
+    slope >= target - tolerance for the decay bounds of ``_AT_LEAST``,
+    |slope - target| <= tolerance otherwise.
 
     Means are taken before logs.  Epsilons with nonpositive means are
     dropped with a warning; fewer than four surviving points refuses the
@@ -515,12 +538,8 @@ def fit_rate(stat: EnsembleStat, theo: Optional[TheoreticalExponents] = None,
     if target is None and theo is not None:
         name = _TARGET_FIELD.get(stat.quantity)
         target = getattr(theo, name) if name else None
-    comparison = _COMPARISON.get(stat.quantity, "two_sided")
-    passed = None
-    if target is not None:
-        if comparison == "at_least":
-            passed = slope >= target - tolerance
-        else:
-            passed = abs(slope - target) <= tolerance
-    return RateFit(slope, intercept, r2, ci, target, tolerance, comparison,
-                   passed, [float(e) for e in eps_k], dropped)
+    verdict = None if target is None else (
+        Verdict(slope, target - tolerance, ">=") if stat.quantity in _AT_LEAST
+        else Verdict(abs(slope - target), tolerance, "<="))
+    return RateFit(slope, intercept, r2, ci, target, tolerance, verdict,
+                   [float(e) for e in eps_k], dropped)

@@ -62,9 +62,9 @@ def test_criterion_02_capacity_oracle():
     t0 = time.perf_counter()
     res = capacity_oracle_check(n_triples=20, seed=0)
     elapsed = time.perf_counter() - t0
-    report(2, res.passed and elapsed < 1.0,
-           f"max rel err {res.max_rel_error:.2e} over 20 triples, {elapsed:.2f}s")
-    assert res.max_rel_error < 1e-3
+    report(2, res.verdict.passed and elapsed < 1.0,
+           f"max rel err {res.verdict.value:.2e} over 20 triples, {elapsed:.2f}s")
+    assert res.verdict.value < 1e-3
     assert elapsed < 1.0
 
 
@@ -76,12 +76,13 @@ def test_criterion_03_periodic_cell_average():
     vals = ", ".join(f"{v:.3f}" for v in res.c_values)
     # the drift's closed form sits exactly on the bound: the verdict is
     # decided by the last bits of the computed value, so print both
-    report(3, res.passed and c_exact and elapsed < 1.0,
-           f"C(eps) = [{vals}], refinement drift {res.finest_drift:.4f} <= 0.05 "
-           f"(computed {res.finest_drift!r}, closed form (63/64)/(15/16) - 1 = 1/20), "
+    drift = res.verdict.value
+    report(3, res.verdict.passed and c_exact and elapsed < 1.0,
+           f"C(eps) = [{vals}], refinement drift {drift:.4f} <= 0.05 "
+           f"(computed {drift!r}, closed form (63/64)/(15/16) - 1 = 1/20), "
            f"c0 = 4*pi exact, {elapsed:.2f}s")
     assert c_exact
-    assert res.finest_drift <= 0.05
+    assert drift <= 0.05
     assert elapsed < 1.0
 
 
@@ -89,7 +90,7 @@ def test_criterion_04_periodic_hminus_rate():
     t0 = time.perf_counter()
     res = periodic_hminus_rate((1 / 6, 1 / 8, 1 / 12, 1 / 16), grid_n=97)
     elapsed = time.perf_counter() - t0
-    report(4, res.passed and elapsed < 900,
+    report(4, res.verdict.passed and elapsed < 900,
            f"slope {res.slope:.3f} in 1.0 +- 0.25 (r2 {res.r2:.4f}), {elapsed:.0f}s")
     assert abs(res.slope - 1.0) <= 0.25
     assert elapsed < 900
@@ -103,7 +104,7 @@ def test_criterion_05_overlap_clustering():
     t0 = time.perf_counter()
     res = overlap_experiment(beta=0.5, replicates=200)
     elapsed = time.perf_counter() - t0
-    report(5, res.passed,
+    report(5, res.verdict.passed,
            f"slope {res.fit.slope:.3f} vs registered {res.predicted_slope:.3f} "
            f"(raw-expectation {res.raw_slope:.3f}, asymptotic "
            f"{res.asymptotic_exponent:.3f}, heuristic ball orders "
@@ -114,14 +115,14 @@ def test_criterion_05_overlap_clustering():
 
 def test_criterion_06_bad_capacity_decay():
     t0 = time.perf_counter()
-    res = bad_capacity_experiment(beta=0.5, delta=0.8, replicates=200)
+    fit = bad_capacity_experiment(beta=0.5, delta=0.8, replicates=200)
     elapsed = time.perf_counter() - t0
     # the lower bound from the annealed estimate: (2/(d-2) - delta)*beta - 0.15
     threshold = (2.0 - 0.8) * 0.5 - 0.15
-    report(6, res.fit.slope >= threshold and elapsed < 600,
-           f"slope {res.fit.slope:.3f} >= {threshold:.2f} "
-           f"(CI {res.fit.ci[0]:.3f}..{res.fit.ci[1]:.3f}), {elapsed:.0f}s")
-    assert res.fit.slope >= threshold
+    report(6, fit.slope >= threshold and elapsed < 600,
+           f"slope {fit.slope:.3f} >= {threshold:.2f} "
+           f"(CI {fit.ci[0]:.3f}..{fit.ci[1]:.3f}), {elapsed:.0f}s")
+    assert fit.slope >= threshold
     assert elapsed < 600
 
 
@@ -130,9 +131,10 @@ def test_criterion_07_variance_scaling():
     res = variance_scaling_experiment(k_values=(4, 8, 16), replicates=500)
     elapsed = time.perf_counter() - t0
     ratios = ", ".join(f"{r:.3f}" for r in res.ratios)
-    report(7, res.passed and elapsed < 300,
+    report(7, res.verdict.passed and elapsed < 300,
            f"k^3 E[(S - E rho)^2] / Var(Y) = [{ratios}] in [0.5, 2], {elapsed:.0f}s")
-    assert res.passed
+    assert res.verdict.passed
+    assert all(0.5 <= r <= 2.0 for r in res.ratios)
     assert elapsed < 300
 
 
@@ -141,8 +143,9 @@ def test_criterion_08_mecke_identity():
     res = mecke_experiment(trials=10000)
     elapsed = time.perf_counter() - t0
     zs = ", ".join(f"{r.functional}:{r.z_score:+.2f}" for r in res.reports)
-    report(8, res.passed and elapsed < 120, f"z-scores [{zs}] all |z| < 4, {elapsed:.0f}s")
-    assert res.passed
+    report(8, res.verdict.passed and elapsed < 120, f"z-scores [{zs}] all |z| < 4, {elapsed:.0f}s")
+    assert res.verdict.passed
+    assert all(abs(r.z_score) < 4.0 for r in res.reports)
     assert elapsed < 120
 
 
@@ -151,11 +154,13 @@ def test_criterion_09_covering_soundness():
     t0 = time.perf_counter()
     res = covering_soundness_experiment(replicates=100, epsilon=1 / 16)
     elapsed = time.perf_counter() - t0
-    report(9, res.passed and elapsed < 300,
-           f"0 violations over {res.cells_checked} cells / {res.replicates} replicates "
-           f"(volume {res.volume_violations}, overlap {res.overlap_violations}, "
-           f"dichotomy {res.dichotomy_violations}), {elapsed:.0f}s")
-    assert res.passed
+    t = res.totals
+    report(9, res.verdict.passed and elapsed < 300,
+           f"0 violations over {t.n_cells} cells / {res.replicates} replicates "
+           f"(volume {t.volume_violations}, overlap {t.overlap_violations}, "
+           f"dichotomy {t.dichotomy_violations}), {elapsed:.0f}s")
+    assert res.verdict.passed
+    assert (t.volume_violations, t.overlap_violations, t.dichotomy_violations) == (0, 0, 0)
     assert elapsed < 300
 
 
@@ -163,10 +168,11 @@ def test_criterion_10_error_surrogate_rate():
     t0 = time.perf_counter()
     res = surrogate_rate_experiment(betas=(0.5, 2.0), replicates=40)
     elapsed = time.perf_counter() - t0
-    det = ", ".join(f"beta={b}: {res.fits[b].slope:.3f} >= {res.thresholds[b]:.2f}"
+    det = ", ".join(f"beta={b}: {res.fits[b].slope:.3f} >= {res.fits[b].verdict.bound:.2f}"
                     for b in res.fits)
-    report(10, res.passed and elapsed < 1800, f"{det}, {elapsed:.0f}s")
-    assert res.passed
+    report(10, res.verdict.passed and elapsed < 1800, f"{det}, {elapsed:.0f}s")
+    assert res.verdict.passed
+    assert all(res.fits[b].slope >= min(3 * b / 5, 3 / 5) - 0.15 for b in res.fits)
     assert elapsed < 1800
 
 
@@ -178,7 +184,7 @@ def test_criterion_11_desk_scale_solve():
     t0 = time.perf_counter()
     res = desk_solve_comparison((1 / 6, 1 / 12), grid_n=97)
     elapsed = time.perf_counter() - t0
-    report(11, res.passed,
+    report(11, res.verdict.passed,
            f"error(1/6) = {res.errors[0]:.4f}, error(1/12) = {res.errors[1]:.4f} "
            f"(pinned hole nodes {res.pinned}), {elapsed:.0f}s")
     assert elapsed < 600

@@ -489,3 +489,85 @@ def test_csv_fields_are_shortest_round_trip_text(tmp_path, command, config):
     csv.writer(again, lineterminator="\n").writerows(
         [rows[0]] + [[_number(field) for field in row] for row in rows[1:]])
     assert again.getvalue().encode("utf-8") == raw
+
+
+# ----------------------------------------------------------------------
+# quantitative verdicts: exit 1, the summary line and the written outputs
+# ----------------------------------------------------------------------
+
+def _run_config(tmp_path, capsys, command, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = run([command, "--config", str(cfg), "--out-dir", str(out)])
+    return code, capsys.readouterr().out, out
+
+
+def test_rates_failed_fit_exits_1(tmp_path, capsys):
+    # at tolerance 0 the at-least rule is the bare slope >= 0.6
+    code, stdout, out = _run_config(tmp_path, capsys, "rates", {
+        "spec": {"d": 3, "epsilon": 0.125, "process": "lattice",
+                 "marks": {"kind": "pareto", "beta_eff": 0.5},
+                 "domain": {"shape": "axis_cube", "half_width": 0.5}, "master_seed": 1},
+        "quantity": "bad_capacity", "epsilon_grid": [1 / 8, 1 / 10, 1 / 12, 1 / 16],
+        "replicates": 30, "tolerance": 0})
+    assert code == 1
+    assert stdout == "rates[bad_capacity]: slope=0.2650 ci=(-1.042,1.447) theo=0.6 FAIL\n"
+    fit = json.loads((out / "fit_bad_capacity.json").read_text())
+    assert (fit["pass"], fit["comparison"], fit["theoretical"], fit["tolerance"]) == \
+        (False, "at_least", 0.6, 0)
+    assert round(fit["slope"], 4) == 0.2650
+    assert len((out / "samples_bad_capacity.csv").read_text().splitlines()) == 1 + 4 * 30
+
+
+def test_rates_fit_without_target_passes(tmp_path, capsys):
+    # s_variance has no predicted slope: nothing is compared, the run passes
+    code, stdout, out = _run_config(tmp_path, capsys, "rates", {
+        "spec": {"d": 3, "epsilon": 0.125, "process": "lattice",
+                 "marks": {"kind": "uniform", "lo": 0.5, "hi": 1.5},
+                 "domain": {"shape": "axis_cube", "half_width": 0.5}, "master_seed": 4},
+        "quantity": "s_variance", "k": 2, "delta": 1.0,
+        "epsilon_grid": [1 / 8, 1 / 12, 1 / 16, 1 / 24], "replicates": 30})
+    assert code == 0
+    assert stdout == "rates[s_variance]: slope=0.5430 ci=(0.365,0.670) theo=None pass\n"
+    fit = json.loads((out / "fit_s_variance.json").read_text())
+    assert (fit["pass"], fit["comparison"], fit["theoretical"], fit["tolerance"]) == \
+        (None, "two_sided", None, 0.2)
+
+
+@pytest.mark.parametrize("grid_n, slope", [(17, "2.9266"), (33, "1.2788")])
+def test_hminus_slope_outside_its_band_exits_1(tmp_path, capsys, grid_n, slope):
+    code, stdout, out = _run_config(tmp_path, capsys, "hminus", {"grid_n": grid_n})
+    assert code == 1
+    assert stdout == f"hminus: slope={slope} (target 1.0 +- 0.25) FAIL\n"
+    fit = json.loads((out / "hminus_fit.json").read_text())
+    assert fit["pass"] is False and f"{fit['slope']:.4f}" == slope
+    assert (out / "hminus.csv").read_text().splitlines()[0] == "epsilon,norm"
+    assert len((out / "hminus.csv").read_text().splitlines()) == 5
+
+
+def test_mecke_z_of_4_exits_1(tmp_path, capsys, monkeypatch):
+    # |z| < 4 is strict: a functional at exactly 4 fails the run
+    import holelab.cli as cli
+    from holelab.process import MeckeReport
+    z = {"count": 1.0, "truncated_mark": -4.0, "isolated_mark": 2.5}
+    monkeypatch.setattr(cli, "mecke_check", lambda spec, name, trials:
+                        MeckeReport(name, trials, z[name], 1.0, 0.0, 0.0))
+    out = tmp_path / "out"
+    code = run(["mecke", "--trials", "20", "--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().out == "mecke: max |z| = 4.000 over 3 functionals FAIL\n"
+    rows = [row.split(",") for row in (out / "mecke.csv").read_text().splitlines()]
+    assert rows[0] == ["functional", "trials", "lhs", "lhs_se", "rhs", "rhs_se", "z"]
+    assert [(r[0], r[1], float(r[-1])) for r in rows[1:]] == \
+        [("count", "20", 1.0), ("truncated_mark", "20", -4.0), ("isolated_mark", "20", 2.5)]
+
+
+def test_summary_verdict_on_its_bound():
+    # an inclusive bound passes at equality, a strict one fails; no verdict passes
+    import holelab.cli as cli
+    from holelab.rates import Verdict
+    assert cli._judged("s", Verdict(0.05, 0.05, "<=")) == (0, "s pass")
+    assert cli._judged("s", Verdict(0.45, 0.45, ">=")) == (0, "s pass")
+    assert cli._judged("s", Verdict(4.0, 4.0, "<")) == (1, "s FAIL")
+    assert cli._judged("s", None) == (0, "s pass")

@@ -315,6 +315,26 @@ def test_lattice_det_rhs_peak_memory_per_site():
     assert peak / 65 ** 3 < 40.0, f"{peak / 65 ** 3:.1f} bytes per site"
 
 
+def test_lattice_unit_ball_sample_peak_memory_per_site():
+    # the ball keeps about half of its box; testing the box's centres for
+    # membership all at once held float centres of the whole box, 128 bytes
+    # per kept site at eps = 1/32 (17.6 MB); one plane at a time it is
+    # about 40, and the bound leaves 30% of that as margin
+    import tracemalloc
+    spec = ProcessSpec(d=3, epsilon=1 / 32, process="lattice",
+                       marks=MarkDistribution.pareto_for_beta(3, 0.5),
+                       domain=DomainDescriptor("unit_ball"), master_seed=1)
+    sample_configuration(spec.with_epsilon(1 / 8), 0)       # warm caches
+    tracemalloc.start()
+    try:
+        config = sample_configuration(spec, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(config) == 137065
+    assert peak / len(config) < 52.0, f"{peak / len(config):.1f} bytes per kept site"
+
+
 def test_det_rhs_thins_once_per_replicate(monkeypatch):
     # the surrogate's cell averages reuse its thinned indices
     import holelab.rates as rates
@@ -383,7 +403,7 @@ def test_fit_recovers_planted_exponent():
     stat = EnsembleStat("bad_capacity", eps, 1,
                         np.array(vals)[:, None], {})
     fit = fit_rate(stat, target=0.5, tolerance=0.01)
-    assert fit.passed and abs(fit.slope - 0.5) < 0.01
+    assert fit.verdict.passed and abs(fit.slope - 0.5) < 0.01
     assert fit.ci[1] - fit.ci[0] < 1e-9
 
 
@@ -516,3 +536,153 @@ def test_s_variance_oracle():
     var_y = m2 - m1 ** 2
     ratio = stat.means()[0] * k ** 3 / var_y
     assert 0.5 <= ratio <= 2.0
+
+
+# ----------------------------------------------------------------------
+# verdicts, each against the hand-written rule it replaced
+# ----------------------------------------------------------------------
+
+# (comparison, bound, the rule as it was written out by hand)
+_RULES = {
+    "oracle": ("<", 1e-3, lambda x: x < 1e-3),              # max_rel_error < 1e-3
+    "mecke": ("<", 4.0, lambda x: abs(x) < 4.0),            # abs(z_score) < 4.0
+    "drift": ("<=", 0.05, lambda x: x <= 0.05),             # finest_drift <= 0.05
+    "variance_hi": ("<=", 2.0, lambda x: x <= 2.0),         # 0.5 <= r <= 2.0, upper side
+    "variance_lo": (">=", 0.5, lambda x: 0.5 <= x),         # 0.5 <= r <= 2.0, lower side
+    "bad_capacity": (">=", (2.0 - 0.8) * 0.5 - 0.15, lambda x: x >= (2.0 - 0.8) * 0.5 - 0.15),
+}
+_EXPECTED = {"<": {"equal": False, "below": True, "above": False},
+             "<=": {"equal": True, "below": True, "above": False},
+             ">=": {"equal": True, "below": False, "above": True}}
+
+
+@pytest.mark.parametrize("rule", sorted(_RULES))
+@pytest.mark.parametrize("at", ["equal", "below", "above", "nan"])
+def test_verdict_at_its_bound(rule, at):
+    from holelab.rates import Verdict
+    comparison, bound, reference = _RULES[rule]
+    value = {"equal": bound, "below": np.nextafter(bound, -np.inf),
+             "above": np.nextafter(bound, np.inf), "nan": math.nan}[at]
+    v = Verdict(float(value), bound, comparison)
+    assert v.passed == bool(reference(value))
+    assert v.passed is (False if at == "nan" else _EXPECTED[comparison][at])
+    if at == "nan":
+        assert math.isnan(v.margin)
+    else:
+        # the margin's sign is exact: > 0 inside a strict bound, >= 0 inside an inclusive one
+        assert v.passed == (v.margin > 0 if comparison == "<" else v.margin >= 0)
+        assert (v.margin == 0) == (at == "equal")
+
+
+def test_verdict_of_criterion_3_passes_both_on_and_below_the_bound():
+    from holelab.experiments import periodic_cell_average
+    from holelab.rates import Verdict
+    # the drift's closed form is the bound itself; the computed value lies 5e-15 inside
+    for drift in (0.04999999999999516, 0.05):
+        v = Verdict(drift, 0.05, "<=")
+        assert v.passed and drift <= 0.05 and v.margin >= 0
+    res = periodic_cell_average((0.25, 0.125, 0.0625))
+    assert res.verdict.passed == (res.verdict.value <= 0.05)
+    assert res.verdict.passed
+
+
+@pytest.mark.parametrize("ratios", [
+    [0.5, 2.0], [1.001, 1.005, 1.065], [np.nextafter(0.5, 0.0), 1.0],
+    [1.0, np.nextafter(2.0, 3.0)], [1.0, math.nan], [math.nan, 3.0], [0.1, 5.0]])
+def test_variance_verdict_is_its_worst_side(ratios):
+    from holelab.experiments import VarianceScalingResult
+    v = VarianceScalingResult([4, 8, 16][:len(ratios)], ratios, 1.0).verdict
+    assert v.passed == all(0.5 <= r <= 2.0 for r in ratios)
+    if not any(math.isnan(r) for r in ratios):
+        sides = [min(r - 0.5, 2.0 - r) for r in ratios]
+        assert v.margin == min(sides) and v.value == ratios[int(np.argmin(sides))]
+
+
+@pytest.mark.parametrize("z", [[-0.67, -1.12, -2.35], [1.0, -4.0, 2.5], [3.999, 0.0],
+                               [1.0, math.nan], [math.nan, 5.0], [5.0, math.nan],
+                               [4.5, -6.0]])
+def test_mecke_verdict_is_the_largest_z(z):
+    from holelab.experiments import MeckeResult
+    from holelab.process import MeckeReport
+    reports = [MeckeReport(f"f{i}", 10, zi, 1.0, 0.0, 0.0) for i, zi in enumerate(z)]
+    v = MeckeResult(reports).verdict
+    assert v.passed == all(abs(r.z_score) < 4.0 for r in reports)
+    if any(math.isnan(zi) for zi in z):
+        assert math.isnan(v.value)
+    else:
+        assert v.value == max(abs(r.z_score) for r in reports)
+
+
+@pytest.mark.parametrize("slopes", [(0.35, 0.62), (0.35, 0.40), (0.10, 0.62), (0.10, 0.40),
+                                    (0.15, 0.45), (math.nan, 0.62)])
+def test_surrogate_verdict_is_its_lowest_margin_fit(slopes):
+    import dataclasses
+    from holelab.experiments import SurrogateRateResult
+    from holelab.rates import Verdict
+    eps = [1 / 8, 1 / 16, 1 / 32, 1 / 64]
+    fits = {}
+    for beta, slope in zip((0.5, 2.0), slopes):
+        target = min(3.0 * beta / 5.0, 3.0 / 5.0)
+        stat = EnsembleStat("det_rhs", eps, 1, np.array([[e ** 0.5] for e in eps]), {})
+        fit = fit_rate(stat, target=target, tolerance=0.15)
+        # plant the slope; the bound stays the fit's own target - tolerance
+        fits[beta] = dataclasses.replace(fit, slope=slope,
+                                         verdict=Verdict(slope, fit.verdict.bound, ">="))
+    thresholds = {b: min(3.0 * b / 5.0, 3.0 / 5.0) - 0.15 for b in fits}
+    assert all(fits[b].verdict.bound == thresholds[b] for b in fits)
+    v = SurrogateRateResult(fits).verdict
+    assert v.passed == all(fits[b].slope >= thresholds[b] for b in fits)
+    margins = [fits[b].slope - thresholds[b] for b in fits]
+    if not any(math.isnan(m) for m in margins):
+        assert v is fits[list(fits)[int(np.argmin(margins))]].verdict
+    else:
+        assert math.isnan(v.value)
+
+
+@pytest.mark.parametrize("quantity", ["bad_capacity", "det_rhs", "overlap_pairs", "s_variance"])
+def test_fit_verdict_at_its_bound(quantity):
+    eps = [1 / 8, 1 / 16, 1 / 32, 1 / 64]
+    stat = EnsembleStat(quantity, eps, 1, np.array([[e ** 0.6] for e in eps]), {})
+    slope = fit_rate(stat).slope
+    at_least = quantity in ("bad_capacity", "det_rhs")
+    assert fit_rate(stat).verdict is None and fit_rate(stat).to_json()["pass"] is None
+    for edge in (slope + 0.15, slope - 0.15):
+        for target in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)):
+            fit = fit_rate(stat, target=float(target), tolerance=0.15)
+            # the two rules as fit_rate wrote them out by hand
+            want = (slope >= target - 0.15) if at_least else (abs(slope - target) <= 0.15)
+            assert fit.verdict.passed == want
+            assert fit.to_json()["pass"] is bool(want)
+            assert fit.to_json()["comparison"] == ("at_least" if at_least else "two_sided")
+
+
+@pytest.mark.parametrize("errors", [(0.3, 0.2), (0.25, 0.25), (0.2, 0.3), (math.nan, 0.1)])
+def test_desk_verdict_is_the_strict_decrease(monkeypatch, errors):
+    import holelab.experiments as experiments
+    values = iter(errors)
+    monkeypatch.setattr(experiments, "homogenization_error", lambda *args: next(values))
+    res = experiments.desk_solve_comparison((1 / 6, 1 / 12), grid_n=9)
+    assert res.verdict.passed == (res.errors[-1] < res.errors[0])
+
+
+def test_covering_verdict_counts_replicates_with_a_violation(monkeypatch):
+    import dataclasses
+    import holelab.experiments as experiments
+    real, calls = experiments.verify_random_covering, []
+
+    def second_replicate_overlaps(cov):
+        calls.append(real(cov))
+        planted = dataclasses.replace(calls[-1], overlap_violations=1)
+        return planted if len(calls) == 2 else calls[-1]
+
+    clean = experiments.covering_soundness_experiment(replicates=3, epsilon=1 / 8)
+    monkeypatch.setattr(experiments, "verify_random_covering", second_replicate_overlaps)
+    res = experiments.covering_soundness_experiment(replicates=3, epsilon=1 / 8)
+    for r in (clean, res):
+        t = r.totals
+        # the rule as it was written out by hand over the summed counts
+        assert r.verdict.passed == ((t.volume_violations | t.overlap_violations
+                                     | t.dichotomy_violations) == 0)
+    assert clean.verdict.passed and clean.verdict.value == 0
+    assert not res.verdict.passed and res.verdict.value == 1
+    assert res.totals.overlap_violations == clean.totals.overlap_violations + 1
