@@ -1,8 +1,12 @@
 """Command-line driver: every pipeline as a subcommand with JSON configs.
 
-Exit codes: 0 pass, 1 check failed (the command's ``Verdict`` or verifier),
-2 usage or config error, 3 runtime error.  All outputs are written
-atomically.  Flags override config keys; unknown config keys are rejected.
+Each command runs in two phases.  Resolve reads the config and flags (a flag
+overrides the config key of its name; unknown keys are rejected), applies
+defaults and calls the library's check of every run parameter; ``--dry-run``
+stops after it and prints the planned work.  Run does the work and writes
+the outputs, each atomically.  Exit codes: 0 pass, 1 check failed (the
+command's ``Verdict`` or verifier), 2 refused while resolving (usage or
+config), 3 failed while running.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .experiments import (HMINUS_TARGET, HMINUS_TOLERANCE, MeckeResult, exponent
                           hminus_setup, mecke_spec, periodic_hminus_rate)
 from .io_utils import write_csv, write_field, write_json
 from .partition import check_partition_scale, partition_configuration, verify_partition
-from .pde import Grid, homogenization_error, homogenized_solve, solve_perforated
+from .pde import Grid, check_grid_n, homogenization_error, homogenized_solve, solve_perforated
 from .process import (MECKE_FUNCTIONALS, ProcessSpec, check_delta, check_mecke_arguments,
                       check_replicate, mecke_check, sample_configuration)
 from .rates import (check_fit_design, check_quantity, ensemble_run, fit_rate, resolve_delta,
@@ -46,33 +50,32 @@ _SCHEMAS = {
     "rates": {"spec", "quantity", "epsilon_grid", "replicates", "delta", "k",
               "grid_n", "tolerance"},
     "hminus": {"epsilon_grid", "grid_n"},
-    "solve": {"spec", "replicate", "grid_n", "delta", "rtol"},
+    "solve": {"spec", "replicate", "grid_n", "delta"},
     "mecke": {"spec", "trials", "functional"},
     "exponents": {"d", "beta", "epsilon"},
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _validate_keys(obj: dict, allowed, where: str):
     unknown = set(obj) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+        raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
 
 
-def _load_config(path, command) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    _validate_keys(cfg, _SCHEMAS[command], f"config for {command!r}")
-    if "spec" in cfg:
-        _validate_keys(cfg["spec"], _SPEC_KEYS, "spec")
-        for key, allowed in (("marks", _MARKS_KEYS), ("domain", _DOMAIN_KEYS)):
-            if key in cfg["spec"]:
-                _validate_keys(cfg["spec"][key], allowed, f"spec.{key}")
+def _config(args) -> dict:
+    """The config file's keys (checked), each overridden by the flag of its name."""
+    cfg = {}
+    if args.config is not None:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+        _validate_keys(cfg, _SCHEMAS[args.command], f"config for {args.command!r}")
+        if "spec" in cfg:
+            _validate_keys(cfg["spec"], _SPEC_KEYS, "spec")
+            for key, allowed in (("marks", _MARKS_KEYS), ("domain", _DOMAIN_KEYS)):
+                if key in cfg["spec"]:
+                    _validate_keys(cfg["spec"][key], allowed, f"spec.{key}")
+    cfg.update({key: value for key, value in vars(args).items()
+                if key in _SCHEMAS[args.command] and value is not None})
     return cfg
 
 
@@ -110,19 +113,19 @@ def _judged(summary: str, verdict) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# subcommand bodies; each returns (exit_code, one_line_summary)
+# subcommand bodies: each resolves its config and yields the plan line,
+# then runs and yields (exit_code, one_line_summary)
 # ----------------------------------------------------------------------
 
 def _cmd_sample(args, cfg):
     spec = _spec_from(cfg, args)
     rep = check_replicate(cfg.get("replicate", 0))
-    if args.dry_run:
-        return 0, f"sample: would draw ~{spec.expected_points():.3g} points (replicate {rep})"
+    yield f"sample: would draw ~{spec.expected_points():.3g} points (replicate {rep})"
     config = sample_configuration(spec, rep)
     path = _out(args, "configuration.csv")
     header = ["replicate"] + [f"x{i + 1}" for i in range(spec.d)] + ["rho"]
     write_csv(path, header, config.csv_columns())
-    return 0, f"sample: {len(config)} points -> {path}"
+    yield 0, f"sample: {len(config)} points -> {path}"
 
 
 def _cmd_partition(args, cfg):
@@ -130,8 +133,7 @@ def _cmd_partition(args, cfg):
     rep = check_replicate(cfg.get("replicate", 0))
     delta = resolve_delta(spec, cfg.get("delta"))
     check_partition_scale(spec.d, spec.epsilon, delta, spec.process == "lattice")
-    if args.dry_run:
-        return 0, f"partition: would classify ~{spec.expected_points():.3g} points at delta={delta}"
+    yield f"partition: would classify ~{spec.expected_points():.3g} points at delta={delta}"
     config = sample_configuration(spec, rep)
     part = partition_configuration(config, delta)
     failed = [c for c in verify_partition(config, part).checks if not c.passed]
@@ -139,9 +141,8 @@ def _cmd_partition(args, cfg):
     write_csv(path, ["index", "class", "rho", "R"], part.csv_columns(config))
     summary = (f"partition: good={part.good.size} J={part.bad_J.size} K={part.bad_K.size}"
                f" C={part.bad_C.size} I={part.bad_I_tilde.size} -> {path}")
-    if failed:
-        return 1, f"{summary}; check {failed[0].name} failed: {failed[0].detail}"
-    return 0, summary
+    yield (1, f"{summary}; check {failed[0].name} failed: {failed[0].detail}") if failed \
+        else (0, summary)
 
 
 def _cmd_corrector(args, cfg):
@@ -149,8 +150,7 @@ def _cmd_corrector(args, cfg):
     rep = check_replicate(cfg.get("replicate", 0))
     delta = resolve_delta(spec, cfg.get("delta"))
     check_delta(spec.d, delta)
-    if args.dry_run:
-        return 0, f"corrector: would build cells at delta={delta}"
+    yield f"corrector: would build cells at delta={delta}"
     config = sample_configuration(spec, rep)
     fld = CorrectorField.from_configuration(config, delta)
     mu = build_capacity_measure(fld)
@@ -159,7 +159,7 @@ def _cmd_corrector(args, cfg):
     summary = {"cells": len(fld), "energy": corrector_energy(fld),
                "c0": c0_constant(spec), "total_weight": mu.total_weight}
     write_json(_out(args, "corrector_summary.json"), summary)
-    return 0, f"corrector: {len(fld)} cells, energy {summary['energy']:.6g} -> {path}"
+    yield 0, f"corrector: {len(fld)} cells, energy {summary['energy']:.6g} -> {path}"
 
 
 def _cmd_covering(args, cfg):
@@ -168,12 +168,11 @@ def _cmd_covering(args, cfg):
     k = mesoscale_k(spec, cfg.get("k"))
     randomized = cfg.get("random", spec.process == "poisson")
     if randomized and spec.process == "lattice":
-        raise ConfigError('"random": true needs a poisson spec; lattice sites use the cube tiling')
+        raise ValueError('"random": true needs a poisson spec; lattice sites use the cube tiling')
     delta = resolve_delta(spec, cfg.get("delta"))
     if randomized:
         check_delta(spec.d, delta)
-    if args.dry_run:
-        return 0, f"covering: would tile with k={k} (randomized={randomized})"
+    yield f"covering: would tile with k={k} (randomized={randomized})"
     config = sample_configuration(spec, rep)
     header = ["cell", *[f"anchor{i + 1}" for i in range(spec.d)],
               "volume", "n_points", "is_interior"]
@@ -185,13 +184,12 @@ def _cmd_covering(args, cfg):
         summary = (f"covering: {report.n_cells} cells, violations "
                    f"vol={report.volume_violations} overlap={report.overlap_violations}"
                    f" dichotomy={report.dichotomy_violations} -> {path}")
-        if not report.ok:
-            return 1, f"{summary}; {report.detail}"
-        return 0, summary
-    cov = build_cube_covering(config, k)
-    write_csv(path, header, cov.csv_columns())
-    n_int = int(np.count_nonzero(cov.interior & cov.meets_domain))
-    return 0, f"covering: {cov.n_cells} cells ({n_int} interior) -> {path}"
+        yield (0, summary) if report.ok else (1, f"{summary}; {report.detail}")
+    else:
+        cov = build_cube_covering(config, k)
+        write_csv(path, header, cov.csv_columns())
+        n_int = int(np.count_nonzero(cov.interior & cov.meets_domain))
+        yield 0, f"covering: {cov.n_cells} cells ({n_int} interior) -> {path}"
 
 
 def _cmd_rates(args, cfg):
@@ -199,52 +197,47 @@ def _cmd_rates(args, cfg):
     quantity = cfg.get("quantity", "bad_capacity")
     grid = cfg.get("epsilon_grid", [1 / 8, 1 / 16, 1 / 32, 1 / 64])
     reps = cfg.get("replicates", 50)
-    params = {"delta": cfg.get("delta"), "k": cfg.get("k"),
-              "grid_n": cfg.get("grid_n", 65)}
+    params = {key: cfg[key] for key in ("delta", "k", "grid_n") if key in cfg}
     check_quantity(spec, quantity, grid, params)
     check_fit_design(grid, reps)
-    if args.dry_run:
-        return 0, (f"rates: would run {quantity} over {len(grid)} epsilons x {reps}"
-                   f" replicates ({_workers(args)} workers)")
-    stat = ensemble_run(spec, quantity, grid, reps, params=params, workers=_workers(args))
+    workers = _workers(args)
+    yield (f"rates: would run {quantity} over {len(grid)} epsilons x {reps}"
+           f" replicates ({workers} workers)")
+    stat = ensemble_run(spec, quantity, grid, reps, params=params, workers=workers)
     write_csv(_out(args, f"samples_{quantity}.csv"),
               ["quantity", "d", "beta_eff", "epsilon", "replicate", "value"],
               stat.csv_columns(spec))
     theo = theoretical_exponents(spec.d, spec.marks.beta_eff, spec.marks)
     fit = fit_rate(stat, theo=theo, tolerance=cfg.get("tolerance", 0.2))
     write_json(_out(args, f"fit_{quantity}.json"), dict(fit.to_json(), quantity=quantity))
-    return _judged(f"rates[{quantity}]: slope={fit.slope:.4f}"
-                   f" ci=({fit.ci[0]:.3f},{fit.ci[1]:.3f}) theo={fit.theoretical}", fit.verdict)
+    yield _judged(f"rates[{quantity}]: slope={fit.slope:.4f}"
+                  f" ci=({fit.ci[0]:.3f},{fit.ci[1]:.3f}) theo={fit.theoretical}", fit.verdict)
 
 
 def _cmd_hminus(args, cfg):
     grid = cfg.get("epsilon_grid", [1 / 6, 1 / 8, 1 / 12, 1 / 16])
     n = cfg.get("grid_n", 97)
     hminus_setup(grid, n)             # fixed geometry: unit marks on the lattice cube
-    if args.dry_run:
-        return 0, f"hminus: would run {len(grid)} deposits and solves at n={n}"
-    seed = args.seed if args.seed is not None else 0
-    result = periodic_hminus_rate(grid, grid_n=n, seed=seed)
+    yield f"hminus: would run {len(grid)} deposits and solves at n={n}"
+    result = periodic_hminus_rate(grid, grid_n=n, seed=args.seed or 0)
     write_csv(_out(args, "hminus.csv"), ["epsilon", "norm"], (result.epsilons, result.norms))
     write_json(_out(args, "hminus_fit.json"),
                {"slope": result.slope, "r2": result.r2, "pass": result.verdict.passed})
-    return _judged(f"hminus: slope={result.slope:.4f}"
-                   f" (target {HMINUS_TARGET} +- {HMINUS_TOLERANCE})", result.verdict)
+    yield _judged(f"hminus: slope={result.slope:.4f}"
+                  f" (target {HMINUS_TARGET} +- {HMINUS_TOLERANCE})", result.verdict)
 
 
 def _cmd_solve(args, cfg):
     spec = _spec_from(cfg, args)
     rep = check_replicate(cfg.get("replicate", 0))
-    n = cfg.get("grid_n", 65)
+    n = check_grid_n(cfg.get("grid_n", 65))
     delta = cfg.get("delta", 1.0)
     check_delta(spec.d, delta)
-    if args.dry_run:
-        return 0, f"solve: would rasterise and solve on a {n}^3 grid"
-    rtol = cfg.get("rtol", 1e-8)
+    yield f"solve: would rasterise and solve on a {n}^3 grid"
     config = sample_configuration(spec, rep)
     grid = Grid.from_domain(spec.domain, n)
-    sol = solve_perforated(config, None, 1.0, grid, rtol=rtol)
-    u_hom = homogenized_solve(c0_constant(spec), 1.0, grid, rtol=rtol)
+    sol = solve_perforated(config, None, 1.0, grid)
+    u_hom = homogenized_solve(c0_constant(spec), 1.0, grid)
     fld = CorrectorField.from_configuration(config, delta)
     err = homogenization_error(sol.u, fld, u_hom, grid)
     write_field(_out(args, "u_perforated.bin"), sol.u, grid.h)
@@ -253,8 +246,8 @@ def _cmd_solve(args, cfg):
     write_csv(_out(args, "u_midplane.csv"), ["i", "j", "u_eps", "u_hom"],
               (np.indices((grid.n, grid.n)).reshape(2, -1).T,
                sol.u[:, :, mid].ravel(), u_hom[:, :, mid].ravel()))
-    return 0, (f"solve: error={err:.6g}, pinned nodes={sol.pinned_nodes},"
-               f" omitted holes={len(sol.omitted_holes)}")
+    yield 0, (f"solve: error={err:.6g}, pinned nodes={sol.pinned_nodes},"
+              f" omitted holes={len(sol.omitted_holes)}")
 
 
 def _cmd_mecke(args, cfg):
@@ -265,26 +258,23 @@ def _cmd_mecke(args, cfg):
     names = [cfg["functional"]] if "functional" in cfg else list(MECKE_FUNCTIONALS)
     for name in names:
         check_mecke_arguments(spec, name, trials)
-    if args.dry_run:
-        return 0, f"mecke: would run {names} at {trials} trials"
+    yield f"mecke: would run {names} at {trials} trials"
     result = MeckeResult([mecke_check(spec, name, trials) for name in names])
     write_csv(_out(args, "mecke.csv"),
               ["functional", "trials", "lhs", "lhs_se", "rhs", "rhs_se", "z"],
               [[getattr(r, name) for r in result.reports] for name in
                ("functional", "trials", "lhs", "lhs_se", "rhs", "rhs_se", "z_score")])
-    return _judged(f"mecke: max |z| = {result.verdict.value:.3f}"
-                   f" over {len(names)} functionals", result.verdict)
+    yield _judged(f"mecke: max |z| = {result.verdict.value:.3f}"
+                  f" over {len(names)} functionals", result.verdict)
 
 
 def _cmd_exponents(args, cfg):
-    d = args.d if args.d is not None else cfg.get("d", 3)
-    beta = args.beta if args.beta is not None else cfg.get("beta", 0.5)
-    epsilon = args.epsilon if args.epsilon is not None else cfg.get("epsilon")
-    table = exponent_table(d, beta, epsilon)
-    if not args.dry_run:
-        write_json(_out(args, "exponents.json"), table)
+    table = exponent_table(cfg.get("d", 3), cfg.get("beta", 0.5), cfg.get("epsilon"))
     keys = ("delta", "rate", "k_exp", "kappa")
-    return 0, "exponents: " + json.dumps({k: table[k] for k in keys})
+    summary = "exponents: " + json.dumps({k: table[k] for k in keys})
+    yield summary
+    write_json(_out(args, "exponents.json"), table)
+    yield 0, summary
 
 
 _BODIES = {
@@ -324,19 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.command)
-        if getattr(args, "quantity", None):
-            cfg["quantity"] = args.quantity
-        if getattr(args, "trials", None) is not None:
-            cfg["trials"] = args.trials
-        code, summary = _BODIES[args.command](args, cfg)
-    except (ConfigError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+        steps = _BODIES[args.command](args, _config(args))
+        plan = next(steps)
+    except Exception as exc:  # refused while resolving
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # runtime failures
+    if args.dry_run:
+        print(plan)
+        return 0
+    try:
+        code, summary = next(steps)
+    except Exception as exc:  # failed while running
         logger.exception("runtime error")
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .index import SpatialIndex
-from .process import MarkedConfiguration, ProcessSpec, thin_configuration
+from .process import MarkedConfiguration, ProcessSpec, check_integer, thin_configuration
 
 
 def mesoscale_parameters(d: int, epsilon: float):
@@ -36,10 +36,7 @@ def mesoscale_k(spec: ProcessSpec, k: Optional[int] = None) -> int:
     """The cell multiplier at the spec's epsilon: k, by default the mesoscale
     of ``mesoscale_parameters``.  Refuses a k that is not an integer >= 1 and
     cells of side k*eps larger than the domain radius."""
-    if k is None:
-        k = mesoscale_parameters(spec.d, spec.epsilon)[0]
-    elif not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    k = mesoscale_parameters(spec.d, spec.epsilon)[0] if k is None else check_integer("k", k, 1)
     if k * spec.epsilon > spec.domain.radius:
         raise ValueError(f"cell size k*eps = {k * spec.epsilon} exceeds the domain scale")
     return k

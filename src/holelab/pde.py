@@ -30,9 +30,14 @@ from .corrector import CapacityMeasure, CorrectorField
 from .covering import CubeCovering
 from .domain import DomainDescriptor
 from .partition import HolePartition
-from .process import MarkedConfiguration
+from .process import MarkedConfiguration, check_integer
 
 logger = logging.getLogger(__name__)
+
+
+def check_grid_n(n: int) -> int:
+    """Refuse a node count per axis that leaves no interior node (n < 3)."""
+    return check_integer("grid_n", n, 3)
 
 
 class SolverError(RuntimeError):

@@ -238,11 +238,16 @@ def sample_configuration(spec: ProcessSpec, replicate: int,
     return MarkedConfiguration(spec, replicate, rho, points=pts)
 
 
+def check_integer(name: str, value, least: int) -> int:
+    """Refuse a count that is not an integer >= least (a bool is not one); return it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def check_replicate(replicate: int) -> int:
-    """Refuse a negative replicate number; return it otherwise."""
-    if replicate < 0:
-        raise ValueError("replicate must be >= 0")
-    return replicate
+    """Refuse a replicate number that is not an integer >= 0; return it otherwise."""
+    return check_integer("replicate", replicate, 0)
 
 
 def _poisson_draw(spec: ProcessSpec, gen: np.random.Generator):
@@ -314,8 +319,7 @@ def check_mecke_arguments(spec: ProcessSpec, functional: str, trials: int) -> No
     reaching less than one rescaled unit beyond the test cube."""
     if spec.process != "poisson":
         raise ValueError("the exchange identity is specific to the poisson process")
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
+    check_integer("trials", trials, 2)
     if functional not in MECKE_FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}; choose from {MECKE_FUNCTIONALS}")
     if spec.domain.radius / spec.epsilon < _MECKE_HALF_WIDTH + 1.0:

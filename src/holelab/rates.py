@@ -27,7 +27,9 @@ from .covering import (RandomCovering, build_cube_covering, build_random_coverin
 from .marks import MarkDistribution
 from .partition import (bad_capacity_sum, check_partition_scale, overlap_pairs,
                         partition_configuration)
-from .process import MarkedConfiguration, ProcessSpec, sample_configuration, thin_configuration
+from .pde import Grid, check_grid_n, deposit_measure, hminus_norm
+from .process import (MarkedConfiguration, ProcessSpec, check_integer, sample_configuration,
+                      thin_configuration)
 
 logger = logging.getLogger(__name__)
 
@@ -295,6 +297,7 @@ def quenched_error_surrogate(config: MarkedConfiguration, partition, covering,
 # ----------------------------------------------------------------------
 
 QUANTITIES = ("bad_capacity", "overlap_pairs", "s_variance", "det_rhs", "hminus")
+HMINUS_GRID_N = 65             # nodes per axis of the hminus quantity by default
 
 
 @dataclass
@@ -324,8 +327,8 @@ def resolve_delta(spec: ProcessSpec, delta: Optional[float] = None) -> float:
 def check_quantity(spec: ProcessSpec, quantity: str, epsilon_grid, params: dict) -> None:
     """Refuse from the arguments alone what ``evaluate_quantity`` would refuse
     at some epsilon of the grid: an unknown quantity or an epsilon outside (0, 1),
-    then the delta (and, on lattice partitions, eps^delta) and k where used,
-    and for ``s_variance``, which averages over them, no interior cell."""
+    then the delta (and, on lattice partitions, eps^delta), k and grid_n where
+    used, and for ``s_variance``, which averages over them, no interior cell."""
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
     specs = [spec.with_epsilon(eps) for eps in epsilon_grid]   # each eps in (0, 1)
@@ -333,6 +336,8 @@ def check_quantity(spec: ProcessSpec, quantity: str, epsilon_grid, params: dict)
         return
     delta = resolve_delta(spec, params.get("delta"))
     partitions = quantity in ("bad_capacity", "det_rhs") and spec.process == "lattice"
+    if quantity == "hminus":
+        check_grid_n(params.get("grid_n", HMINUS_GRID_N))
     for s in specs:
         check_partition_scale(s.d, s.epsilon, delta, partitions)
         if quantity == "s_variance":
@@ -367,11 +372,9 @@ def evaluate_quantity(spec: ProcessSpec, quantity: str, replicate: int,
         return float(np.mean((s_vals[interior] - density_centering(spec)) ** 2))
 
     # quantity == "hminus": grid dual norm of the capacity density mismatch
-    from .pde import Grid, deposit_measure, hminus_norm
-    n = params.get("grid_n", 65)
     field_ = CorrectorField.from_configuration(config, delta)
     mu = build_capacity_measure(field_)
-    grid = Grid.from_domain(spec.domain, n)
+    grid = Grid.from_domain(spec.domain, params.get("grid_n", HMINUS_GRID_N))
     # under-resolved spheres are deposited anyway: their charge is conserved
     g = deposit_measure(mu, c0_constant(spec), grid, min_radius_factor=0.0)
     return hminus_norm(g, grid)
@@ -491,7 +494,8 @@ _AT_LEAST = ("bad_capacity", "det_rhs")     # other targets are two-sided
 
 def check_fit_design(epsilon_grid, replicates: int) -> None:
     """Refuse an ensemble no slope can be fitted on: fewer than four
-    epsilons, or between 2 and 29 replicates."""
+    epsilons, or a replicate count other than 1 or an integer >= 30."""
+    check_integer("replicates", replicates, 1)
     if len(epsilon_grid) < 4:
         raise ValueError("need at least 4 epsilon values")
     if replicates < 30 and replicates != 1:

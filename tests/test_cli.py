@@ -129,15 +129,51 @@ def test_failed_csv_leaves_the_target_alone(tmp_path):
     assert os.listdir(tmp_path) == ["rows.csv"]
 
 
-def test_dry_run_writes_nothing(tmp_path, capsys):
-    code = run(["partition", "--dry-run", "--out-dir", str(tmp_path / "x")])
-    assert code == 0
-    assert "would" in capsys.readouterr().out
+_WORK = ("sample_configuration", "ensemble_run", "mecke_check", "periodic_hminus_rate",
+         "write_csv", "write_json", "write_field")
+
+
+def test_dry_run_writes_nothing(tmp_path, capsys, monkeypatch):
+    # every command's plan line from its defaults; the work would fail
+    import holelab.cli as cli
+    for name in _WORK:
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("started the work"))
+    monkeypatch.delenv("HOLELAB_WORKERS", raising=False)
+    plans = {
+        "sample": "sample: would draw ~4.1e+03 points (replicate 0)",
+        "partition": "partition: would classify ~4.1e+03 points at delta=0.8",
+        "corrector": "corrector: would build cells at delta=0.8",
+        "covering": "covering: would tile with k=2 (randomized=False)",
+        "rates": "rates: would run bad_capacity over 4 epsilons x 50 replicates (1 workers)",
+        "hminus": "hminus: would run 4 deposits and solves at n=97",
+        "solve": "solve: would rasterise and solve on a 65^3 grid",
+        "mecke": "mecke: would run ['count', 'truncated_mark', 'isolated_mark'] at 10000 trials",
+        "exponents": 'exponents: {"delta": 0.8, "rate": 0.3, "k_exp": 0.4, "kappa": 0.2}',
+    }
+    assert sorted(plans) == sorted(cli.COMMANDS)
+    for command, plan in plans.items():
+        code = run([command, "--dry-run", "--out-dir", str(tmp_path / "x")])
+        assert (code, capsys.readouterr().out) == (0, plan + "\n")
     assert not (tmp_path / "x").exists()
 
 
+def test_failure_while_running_exits_3(tmp_path, capsys, monkeypatch):
+    # a ValueError raised by the work is a runtime error, not a refused config
+    import holelab.cli as cli
+
+    def refuse(*args):
+        raise ValueError("planted write failure")
+
+    monkeypatch.setattr(cli, "write_csv", refuse)
+    code = run(["sample", "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "runtime error: planted write failure" in captured.err
+
+
 def test_rates_degenerate_refused(tmp_path, capsys):
-    # all-good regime: every bad-capacity sample is zero, the fit is refused
+    # all-good regime: every bad-capacity sample is zero, the fit is refused;
+    # the refusal comes after the ensemble has run, so it is a runtime error
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "spec": {"d": 3, "epsilon": 0.125, "process": "lattice",
@@ -149,7 +185,7 @@ def test_rates_degenerate_refused(tmp_path, capsys):
         "replicates": 30,
         "delta": 0.8}))
     code = run(["rates", "--config", str(cfg), "--out-dir", str(tmp_path)])
-    assert code == 2
+    assert code == 3
     assert "positive" in capsys.readouterr().err
 
 
@@ -224,13 +260,24 @@ _LATTICE_HALF = {"d": 3, "epsilon": 0.125, "process": "lattice",
      "no cell of side k*eps = 0.5 is interior to the domain"),
     ("rates", {"quantity": "nope"}, "unknown quantity 'nope'"),
     ("solve", {"delta": 0}, "delta must lie in"),
-    ("mecke", {"trials": 1}, "at least 2 trials"),
+    ("mecke", {"trials": 1}, "trials must be an integer >= 2"),
     ("mecke", {"spec": _LATTICE_HALF, "functional": "nope"}, "specific to the poisson process"),
     ("mecke", {"functional": "nope"}, "unknown functional 'nope'"),
     ("mecke", {"spec": dict(_POISSON, domain={"shape": "axis_cube", "half_width": 0.1})},
      "sampling window too small"),
-    *[(command, {"replicate": -1}, "replicate must be >= 0")
+    *[(command, {"replicate": -1}, "replicate must be an integer >= 0")
       for command in ("sample", "partition", "corrector", "covering", "solve")],
+    # counts are integers, and a bool is not one
+    *[("sample", {"replicate": r}, "replicate must be an integer >= 0")
+      for r in (1.5, True, "abc")],
+    ("covering", {"k": True}, "k must be an integer >= 1"),
+    ("rates", {"replicates": 30.5}, "replicates must be an integer >= 1"),
+    ("mecke", {"trials": 2.5}, "trials must be an integer >= 2"),
+    # a grid needs an interior node
+    ("solve", {"grid_n": 1}, "grid_n must be an integer >= 3"),
+    ("solve", {"grid_n": 2}, "grid_n must be an integer >= 3"),
+    ("hminus", {"grid_n": 1}, "grid_n must be an integer >= 3"),
+    ("rates", {"quantity": "hminus", "grid_n": 1}, "grid_n must be an integer >= 3"),
     # every epsilon of the grid is range-checked, whatever the quantity
     ("hminus", {"epsilon_grid": [1.5, 0.5, 0.25, 0.125], "grid_n": 17},
      "epsilon must lie in (0, 1)"),
@@ -240,12 +287,15 @@ _LATTICE_HALF = {"d": 3, "epsilon": 0.125, "process": "lattice",
         "covering_delta", "rates_k", "covering_oversized_k", "rates_oversized_k",
         "rates_no_interior_cell", "rates_quantity", "solve_delta", "mecke_trials", "mecke_lattice",
         "mecke_functional", "mecke_window", "sample_replicate", "partition_replicate",
-        "corrector_replicate", "covering_replicate", "solve_replicate", "hminus_epsilon",
-        "rates_overlap_epsilon"])
+        "corrector_replicate", "covering_replicate", "solve_replicate",
+        "sample_fractional_replicate", "sample_bool_replicate", "sample_text_replicate",
+        "covering_bool_k", "rates_fractional_replicates", "mecke_fractional_trials",
+        "solve_grid_n_1", "solve_grid_n_2", "hminus_grid_n", "rates_hminus_grid_n",
+        "hminus_epsilon", "rates_overlap_epsilon"])
 def test_config_faults_refused_before_the_dry_run(tmp_path, capsys, monkeypatch, command,
                                                   config, message, dry_run):
     import holelab.cli as cli
-    for name in ("sample_configuration", "ensemble_run", "mecke_check", "periodic_hminus_rate"):
+    for name in _WORK:
         monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("started the work"))
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(config))
@@ -297,13 +347,17 @@ def test_field_binary_roundtrip(tmp_path):
 
 
 def test_hminus_rtol_key_rejected(tmp_path, capsys):
-    # the cube dual norm is a direct solve; no tolerance is read
+    # neither command takes a solver tolerance from its config
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"grid_n": 17, "rtol": 1e-10}))
-    code = run(["hminus", "--config", str(cfg), "--out-dir", str(tmp_path)])
-    assert code == 2
-    assert "rtol" in capsys.readouterr().err
-    assert not (tmp_path / "hminus.csv").exists()
+    for command in ("hminus", "solve"):
+        for dry_run in (False, True):
+            code = run([command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+                       + ["--dry-run"] * dry_run)
+            captured = capsys.readouterr()
+            assert code == 2 and "unknown keys ['rtol']" in captured.err
+            assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_hminus_spec_key_rejected(tmp_path, capsys):
@@ -356,7 +410,7 @@ def test_mecke_refuses_fewer_than_two_trials(tmp_path, capsys, trials):
     # error, and z = 0 would pass vacuously
     out = tmp_path / "out"
     code = run(["mecke", "--trials", trials, "--out-dir", str(out)])
-    assert code == 2 and "at least 2 trials" in capsys.readouterr().err
+    assert code == 2 and "trials must be an integer >= 2" in capsys.readouterr().err
     assert not (out / "mecke.csv").exists()
 
 

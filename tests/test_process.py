@@ -477,7 +477,7 @@ def test_mecke_count_on_the_unit_ball():
 
 def test_mecke_refuses_fewer_than_two_trials():
     spec = cube_spec("poisson", lam=1.0)
-    with pytest.raises(ValueError, match="at least 2 trials"):
+    with pytest.raises(ValueError, match="trials must be an integer >= 2"):
         mecke_check(spec, "count", 1)
 
 
