@@ -167,6 +167,8 @@ def _cmd_covering(args, cfg):
     rep = check_replicate(cfg.get("replicate", 0))
     k = mesoscale_k(spec, cfg.get("k"))
     randomized = cfg.get("random", spec.process == "poisson")
+    if not isinstance(randomized, bool):
+        raise ValueError(f'"random" must be true or false, got {randomized!r}')
     if randomized and spec.process == "lattice":
         raise ValueError('"random": true needs a poisson spec; lattice sites use the cube tiling')
     delta = resolve_delta(spec, cfg.get("delta"))
@@ -197,9 +199,10 @@ def _cmd_rates(args, cfg):
     quantity = cfg.get("quantity", "bad_capacity")
     grid = cfg.get("epsilon_grid", [1 / 8, 1 / 16, 1 / 32, 1 / 64])
     reps = cfg.get("replicates", 50)
+    tolerance = cfg.get("tolerance", 0.2)
     params = {key: cfg[key] for key in ("delta", "k", "grid_n") if key in cfg}
     check_quantity(spec, quantity, grid, params)
-    check_fit_design(grid, reps)
+    check_fit_design(grid, reps, tolerance)
     workers = _workers(args)
     yield (f"rates: would run {quantity} over {len(grid)} epsilons x {reps}"
            f" replicates ({workers} workers)")
@@ -208,7 +211,7 @@ def _cmd_rates(args, cfg):
               ["quantity", "d", "beta_eff", "epsilon", "replicate", "value"],
               stat.csv_columns(spec))
     theo = theoretical_exponents(spec.d, spec.marks.beta_eff, spec.marks)
-    fit = fit_rate(stat, theo=theo, tolerance=cfg.get("tolerance", 0.2))
+    fit = fit_rate(stat, theo=theo, tolerance=tolerance)
     write_json(_out(args, f"fit_{quantity}.json"), dict(fit.to_json(), quantity=quantity))
     yield _judged(f"rates[{quantity}]: slope={fit.slope:.4f}"
                   f" ci=({fit.ci[0]:.3f},{fit.ci[1]:.3f}) theo={fit.theoretical}", fit.verdict)

@@ -24,7 +24,7 @@ class HolePartition:
     bad_K: np.ndarray          # squeezed neighbour distance (poisson only)
     bad_C: np.ndarray          # hole radius comparable to neighbour distance (poisson only)
     bad_I_tilde: np.ndarray    # contagion: too close to a core bad hole
-    safety_centers: np.ndarray  # (m, d) physical centres of the safety balls
+    safety_index: np.ndarray    # (m,) sorted bad indices, the centres of the safety balls
     safety_radii: np.ndarray    # (m,) radii 2 * min(hole radius, 1)
 
     @property
@@ -32,10 +32,14 @@ class HolePartition:
         return np.concatenate([self.bad_J, self.bad_K, self.bad_C, self.bad_I_tilde])
 
     @property
-    def good(self) -> np.ndarray:
+    def is_good(self) -> np.ndarray:
         is_good = np.ones(self.n_points, dtype=bool)
         is_good[self.bad] = False
-        return np.flatnonzero(is_good)
+        return is_good
+
+    @property
+    def good(self) -> np.ndarray:
+        return np.flatnonzero(self.is_good)
 
     def csv_columns(self, config: MarkedConfiguration):
         """CSV columns index, class label, rho, R; the classes in turn."""
@@ -92,15 +96,10 @@ def _classify(config: MarkedConfiguration, delta: float) -> HolePartition:
     mask_i = _contagion(config, np.flatnonzero(core), a, own) & ~core
     bad_idx = np.flatnonzero(core | mask_i)
     return HolePartition(
-        delta=delta,
-        n_points=len(config),
-        bad_J=np.flatnonzero(mask_j),
-        bad_K=np.flatnonzero(mask_k),
-        bad_C=np.flatnonzero(mask_c),
-        bad_I_tilde=np.flatnonzero(mask_i),
-        safety_centers=config.centers(bad_idx),
-        safety_radii=2.0 * np.minimum(a[bad_idx], 1.0),
-    )
+        delta=delta, n_points=len(config),
+        bad_J=np.flatnonzero(mask_j), bad_K=np.flatnonzero(mask_k),
+        bad_C=np.flatnonzero(mask_c), bad_I_tilde=np.flatnonzero(mask_i),
+        safety_index=bad_idx, safety_radii=2.0 * np.minimum(a[bad_idx], 1.0))
 
 
 # Not exported: the benchmark's tracer (perfbench/tracing.py) times the
@@ -117,10 +116,7 @@ def partition_configuration(config: MarkedConfiguration, delta: float) -> HolePa
 def bad_capacity_sum(config: MarkedConfiguration, partition: HolePartition) -> float:
     """eps^d * sum of rho^(d-2) over the bad points (monitored decay quantity)."""
     d = config.spec.d
-    bad = partition.bad
-    if bad.size == 0:
-        return 0.0
-    return float(config.spec.epsilon ** d * np.sum(config.rho[bad] ** (d - 2)))
+    return float(config.spec.epsilon ** d * np.sum(config.rho[partition.bad] ** (d - 2)))
 
 
 def _pairs_within_reach(config: MarkedConfiguration, radii: np.ndarray, own, among):
@@ -188,40 +184,34 @@ def verify_partition(config: MarkedConfiguration, partition: HolePartition) -> P
     a = config.hole_radii()
     rep = PartitionReport()
 
-    classes = [partition.good, partition.bad_J, partition.bad_K,
-               partition.bad_C, partition.bad_I_tilde]
-    combined = np.concatenate(classes)
-    is_partition = combined.size == len(config) and np.unique(combined).size == len(config)
-    rep.add("disjoint_cover", is_partition,
-            "" if is_partition else f"{combined.size} labels for {len(config)} points")
+    # one label per bad class entry and per good point: n unless a point is listed twice
+    n, is_good = len(config), partition.is_good
+    labels = partition.bad.size + np.count_nonzero(is_good)
+    rep.add("disjoint_cover", labels == n, "" if labels == n else f"{labels} labels for {n} points")
 
-    good = partition.good
-    is_good = np.zeros(len(config), dtype=bool)
-    is_good[good] = True
     thr = eps ** (1.0 + delta)
-    viol = good[a[good] > thr] if good.size else np.empty(0, int)
+    viol = np.flatnonzero(is_good & (a > thr))
     rep.add("good_hole_size", viol.size == 0,
             "" if viol.size == 0 else f"point {viol[0]} has hole {a[viol[0]]:.3g} > {thr:.3g}")
 
     own = config.minimal_distances()
     if not config.is_lattice:
-        v1 = good[own[good] < eps ** 2] if good.size else np.empty(0, int)
+        v1 = np.flatnonzero(is_good & (own < eps ** 2))
         rep.add("good_min_distance", v1.size == 0,
                 "" if v1.size == 0 else f"point {v1[0]} has R {own[v1[0]]:.3g} < eps^2")
-        v2 = good[2.0 * math.sqrt(d) * a[good] > own[good]] if good.size else np.empty(0, int)
+        v2 = np.flatnonzero(is_good & (2.0 * math.sqrt(d) * a > own))
         rep.add("good_separation", v2.size == 0,
                 "" if v2.size == 0 else f"point {v2[0]} violates 2*sqrt(d)*a <= R")
 
-    # protection balls of good points avoid every safety ball: one max-norm
-    # query, widened by the largest good own radius, then the exact test
-    ok = True
-    detail = ""
-    if good.size and partition.safety_radii.size:
-        reach = (partition.safety_radii + own[good].max()) / eps * (1.0 + 1e-9)
-        w, g = config.index.query(partition.safety_centers / eps, reach)
+    # protection balls of good points avoid every safety ball: one max-norm query
+    # around the bad centres, widened by the largest good own radius, then the exact test
+    ok, detail = True, ""
+    if partition.safety_radii.size and is_good.any():
+        reach = (partition.safety_radii + own[is_good].max()) / eps * (1.0 + 1e-9)
+        w, g = config.neighbours(partition.safety_index, reach)
         keep = is_good[g]
         w, g = w[keep], g[keep]
-        diff = config.centers(g) - partition.safety_centers[w]
+        diff = config.centers(g) - config.centers(partition.safety_index[w])
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         hit = dist < own[g] + partition.safety_radii[w] - 1e-12
         if np.any(hit):

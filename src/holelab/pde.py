@@ -110,9 +110,10 @@ class Grid:
 # the Dirichlet solve
 # ----------------------------------------------------------------------
 
-# iteration limit of the preconditioned CG; the masks of the package take
-# 1 (the box) to a few dozen (ball, thousands of holes) iterations
+# iteration limit and relative residual of the preconditioned CG; the masks of
+# the package take 1 (the box) to a few dozen (ball, thousands of holes) iterations
 _MAXITER = 2000
+_RTOL = 1e-8
 
 
 def _kron_sum(lam: np.ndarray) -> np.ndarray:
@@ -159,10 +160,10 @@ def _box_operators(act: np.ndarray, h: float, shift: float):
 
 
 def _dirichlet_solve(active: np.ndarray, b: np.ndarray, grid: Grid, shift: float,
-                     rtol: float, label: str) -> np.ndarray:
+                     label: str) -> np.ndarray:
     """Solve (A + shift) u = b on the ``active`` nodes with u = 0 elsewhere
     (see _box_operators) by preconditioned CG to relative residual
-    ``rtol``; ``b`` and the result are (n, n, n) node arrays.  On the full
+    ``_RTOL``; ``b`` and the result are (n, n, n) node arrays.  On the full
     interior box the preconditioner is the exact inverse and one iteration
     solves the system.  Every mask in the package lies inside the interior
     box: Dirichlet nodes on the grid boundary are never active."""
@@ -179,11 +180,11 @@ def _dirichlet_solve(active: np.ndarray, b: np.ndarray, grid: Grid, shift: float
         nonlocal steps
         steps += 1
 
-    x, info = cg(a_op, rhs, rtol=rtol, atol=0.0, maxiter=_MAXITER, M=m_op, callback=count)
+    x, info = cg(a_op, rhs, rtol=_RTOL, atol=0.0, maxiter=_MAXITER, M=m_op, callback=count)
     if info != 0 or logger.isEnabledFor(logging.DEBUG):
         res = float(np.linalg.norm(rhs - a_op @ x)) / bnorm
         if info != 0:
-            raise SolverError(f"{label}: preconditioned CG did not reach rtol={rtol} in"
+            raise SolverError(f"{label}: preconditioned CG did not reach rtol={_RTOL} in"
                               f" {_MAXITER} iterations (relative residual {res:.3e})",
                               residuals=[res])
         logger.debug("%s: %d iterations, relative residual %.3e", label, steps, res)
@@ -304,7 +305,7 @@ def deposit_measure(mu: CapacityMeasure, c0, grid: Grid,
     return GriddedMeasure(values, grid, dropped_samples=dropped)
 
 
-def hminus_norm(g: GriddedMeasure, grid: Grid, rtol: float = 1e-8) -> float:
+def hminus_norm(g: GriddedMeasure, grid: Grid) -> float:
     """Dual norm of the deposited measure over the domain.
 
     Solves the Dirichlet problem -lap(psi) = g on the interior nodes and
@@ -312,7 +313,7 @@ def hminus_norm(g: GriddedMeasure, grid: Grid, rtol: float = 1e-8) -> float:
     the interior never couple to test functions and are ignored.
     """
     active = grid.inside_domain()
-    psi = _dirichlet_solve(active, g.values, grid, 0.0, rtol, "dual-norm potential")
+    psi = _dirichlet_solve(active, g.values, grid, 0.0, "dual-norm potential")
     energy = float(g.values[active] @ psi[active])
     return math.sqrt(max(energy, 0.0))
 
@@ -432,7 +433,7 @@ def hole_mask(config: MarkedConfiguration, grid: Grid):
 
 
 def solve_perforated(config: MarkedConfiguration, partition: Optional[HolePartition],
-                     f, grid: Grid, rtol: float = 1e-8) -> PerforatedSolution:
+                     f, grid: Grid) -> PerforatedSolution:
     """Dirichlet solve of -lap(u) = f outside the holes.
 
     All holes (good and bad) are rasterised; holes below the grid
@@ -443,17 +444,17 @@ def solve_perforated(config: MarkedConfiguration, partition: Optional[HolePartit
         logger.warning("%d of %d holes are below grid resolution and were omitted",
                        len(omitted), len(config))
     active = grid.inside_domain() & ~holes
-    u = _dirichlet_solve(active, grid.h ** 3 * _as_node_values(f, grid), grid, 0.0, rtol,
+    u = _dirichlet_solve(active, grid.h ** 3 * _as_node_values(f, grid), grid, 0.0,
                          "perforated solve")
     return PerforatedSolution(u, int(np.count_nonzero(holes)), omitted)
 
 
-def homogenized_solve(c0: float, f, grid: Grid, rtol: float = 1e-8) -> np.ndarray:
-    """Dirichlet solve of -lap(u) + c0 u = f on the domain, to ``rtol``."""
+def homogenized_solve(c0: float, f, grid: Grid) -> np.ndarray:
+    """Dirichlet solve of -lap(u) + c0 u = f on the domain."""
     if c0 < 0:
         raise ValueError("c0 must be >= 0")
     return _dirichlet_solve(grid.inside_domain(), grid.h ** 3 * _as_node_values(f, grid),
-                            grid, c0 * grid.h ** 3, rtol, "homogenized solve")
+                            grid, c0 * grid.h ** 3, "homogenized solve")
 
 
 def corrector_on_grid(corrector: CorrectorField, grid: Grid) -> np.ndarray:

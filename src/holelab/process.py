@@ -121,8 +121,8 @@ class MarkedConfiguration:
     def is_lattice(self) -> bool:
         return self.spec.process == "lattice"
 
-    @property
-    def index(self) -> SpatialIndex:
+    def _tree(self) -> SpatialIndex:
+        """The k-d tree over the Poisson centres, built on first use."""
         if self._index is None:
             self._index = SpatialIndex(self.points)
         return self._index
@@ -166,7 +166,7 @@ class MarkedConfiguration:
         idx = np.asarray(idx, dtype=np.int64)
         reach = np.broadcast_to(np.asarray(reach, dtype=float), idx.shape)
         if not self.is_lattice:
-            return self.index.query(self.rescaled(idx), reach)
+            return self._tree().query(self.rescaled(idx), reach)
         m, keys, sites = self.m, self._keys, self._sites(idx)
         half = np.floor(reach).astype(np.int64)[:, None]
         lo = np.maximum(sites - half, -m)
@@ -202,7 +202,7 @@ class MarkedConfiguration:
         if self.is_lattice:
             return np.broadcast_to(eps / 4.0, len(self))
         if self._min_dist is None:
-            self._min_dist = (eps / 4.0) * self.index.nearest_neighbor_distances(cap=1.0)
+            self._min_dist = (eps / 4.0) * self._tree().nearest_neighbor_distances(cap=1.0)
         return self._min_dist
 
     def csv_columns(self):

@@ -492,14 +492,18 @@ _TARGET_FIELD = {"bad_capacity": "bad_capacity_exponent", "overlap_pairs": "over
 _AT_LEAST = ("bad_capacity", "det_rhs")     # other targets are two-sided
 
 
-def check_fit_design(epsilon_grid, replicates: int) -> None:
+def check_fit_design(epsilon_grid, replicates: int, tolerance: float) -> None:
     """Refuse an ensemble no slope can be fitted on: fewer than four
-    epsilons, or a replicate count other than 1 or an integer >= 30."""
+    epsilons, or a replicate count other than 1 or an integer >= 30; and a
+    tolerance that is not a number >= 0 (a bool is not one)."""
     check_integer("replicates", replicates, 1)
     if len(epsilon_grid) < 4:
         raise ValueError("need at least 4 epsilon values")
     if replicates < 30 and replicates != 1:
         raise ValueError("need at least 30 replicates (or a deterministic run)")
+    if (isinstance(tolerance, bool) or not isinstance(tolerance, (int, float, np.number))
+            or not tolerance >= 0):
+        raise ValueError(f"tolerance must be a number >= 0, got {tolerance!r}")
 
 
 def fit_rate(stat: EnsembleStat, theo: Optional[TheoreticalExponents] = None,
@@ -513,7 +517,7 @@ def fit_rate(stat: EnsembleStat, theo: Optional[TheoreticalExponents] = None,
     fit.  The confidence interval resamples replicates 1000 times (jointly
     across epsilons, matching the shared random numbers) from a fixed seed.
     """
-    check_fit_design(stat.epsilon_grid, stat.replicates)
+    check_fit_design(stat.epsilon_grid, stat.replicates, tolerance)
     means = np.nanmean(stat.samples, axis=1)
     eps = np.asarray(stat.epsilon_grid, dtype=float)
     keep = means > 0

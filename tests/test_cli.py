@@ -283,6 +283,9 @@ _LATTICE_HALF = {"d": 3, "epsilon": 0.125, "process": "lattice",
      "epsilon must lie in (0, 1)"),
     ("rates", {"quantity": "overlap_pairs", "epsilon_grid": [1.5, 0.5, 0.25, 0.125],
                "replicates": 30}, "epsilon must lie in (0, 1)"),
+    # the fit's tolerance is a number >= 0, and "random" a JSON bool
+    *[("rates", {"tolerance": t}, "tolerance must be a number >= 0") for t in ("abc", -0.5)],
+    ("covering", {"random": "no", "spec": _POISSON}, '"random" must be true or false'),
 ], ids=["partition_delta", "corrector_delta", "covering_k", "covering_fractional_k",
         "covering_delta", "rates_k", "covering_oversized_k", "rates_oversized_k",
         "rates_no_interior_cell", "rates_quantity", "solve_delta", "mecke_trials", "mecke_lattice",
@@ -291,7 +294,8 @@ _LATTICE_HALF = {"d": 3, "epsilon": 0.125, "process": "lattice",
         "sample_fractional_replicate", "sample_bool_replicate", "sample_text_replicate",
         "covering_bool_k", "rates_fractional_replicates", "mecke_fractional_trials",
         "solve_grid_n_1", "solve_grid_n_2", "hminus_grid_n", "rates_hminus_grid_n",
-        "hminus_epsilon", "rates_overlap_epsilon"])
+        "hminus_epsilon", "rates_overlap_epsilon", "rates_text_tolerance",
+        "rates_negative_tolerance", "covering_text_random"])
 def test_config_faults_refused_before_the_dry_run(tmp_path, capsys, monkeypatch, command,
                                                   config, message, dry_run):
     import holelab.cli as cli

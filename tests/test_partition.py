@@ -8,6 +8,7 @@ from holelab import (DomainDescriptor, MarkDistribution, ProcessSpec,
                      partition_configuration, sample_configuration,
                      theoretical_exponents, verify_partition, verify_random_covering)
 from holelab.experiments import DEFAULT_SEED, lattice_spec
+from holelab.index import SpatialIndex
 from holelab.process import MarkedConfiguration
 
 
@@ -179,16 +180,27 @@ def test_verify_detects_misclassified_point():
     assert "good_avoids_bad_region" in failed
 
 
+def test_verify_detects_a_point_labelled_twice():
+    marks = MarkDistribution.pareto_for_beta(3, 0.5)
+    config = sample_configuration(make_spec(epsilon=1 / 8, marks=marks, half=0.5), 0)
+    part = partition_configuration(config, 0.8)
+    assert len(config) == 729 and part.bad_J.size > 0
+    part.bad_I_tilde = np.append(part.bad_I_tilde, part.bad_J[0])
+    check = verify_partition(config, part).checks[0]
+    assert (check.name, check.passed, check.detail) == (
+        "disjoint_cover", False, "730 labels for 729 points")
+
+
 def loop_good_avoids_bad_region(config, part):
     """One safety ball at a time against every good point (reference)."""
     eps = config.spec.epsilon
     own = (np.full(len(config), eps / 4.0) if config.is_lattice
            else config.minimal_distances())
     good, centers = part.good, config.centers()
-    for w in range(part.safety_centers.shape[0]):
+    for w, bad in enumerate(part.safety_index):
         if good.size == 0:
             break
-        diff = centers[good] - part.safety_centers[w]
+        diff = centers[good] - centers[bad]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         hit = dist < own[good] + part.safety_radii[w] - 1e-12
         if np.any(hit):
@@ -207,8 +219,8 @@ def relabel_good(part, moved, drop_their_balls):
     optionally drop their own safety balls, so that only balls around
     other bad points can be touched."""
     if drop_their_balls:
-        keep = ~np.isin(np.sort(part.bad), moved)    # safety balls follow index order
-        part.safety_centers = part.safety_centers[keep]
+        keep = ~np.isin(part.safety_index, moved)
+        part.safety_index = part.safety_index[keep]
         part.safety_radii = part.safety_radii[keep]
     for name in ("bad_J", "bad_K", "bad_C", "bad_I_tilde"):
         setattr(part, name, np.setdiff1d(getattr(part, name), moved))
@@ -287,7 +299,7 @@ def test_safety_region_stays_near_domain():
     part = partition_configuration(config, 0.8)
     if part.safety_radii.size:
         # centres lie in the domain and radii are truncated at 2
-        assert np.all(np.abs(part.safety_centers) <= 1.0 + 1e-12)
+        assert np.all(np.abs(config.centers(part.safety_index)) <= 1.0 + 1e-12)
         assert np.all(part.safety_radii <= 2.0 + 1e-12)
 
 
@@ -348,6 +360,7 @@ def test_unit_ball_lattice_sites_distances_and_partition():
     assert np.all(config.minimal_distances() == eps / 4)
     part = partition_configuration(config, 0.8)
     assert verify_partition(config, part).ok
+    assert config._index is None
 
 
 def test_unit_ball_poisson_partition_and_covering():
@@ -367,7 +380,7 @@ def test_unit_ball_poisson_partition_and_covering():
 
 def tree_neighbours(config, idx, reach):
     """The k-d tree query, kept here as the reference for integer offsets."""
-    return config.index.query(config.points[idx], reach)
+    return SpatialIndex(config.points).query(config.points[idx], reach)
 
 
 def lattice_spec_for(shape, eps, marks=None, seed=0):
@@ -425,7 +438,7 @@ def test_lattice_site_keys_are_row_major(shape, eps):
 
 def lattice_results(config, delta):
     part = partition_configuration(config, delta)
-    return (classes_of(part, len(config)), part.safety_centers, part.safety_radii,
+    return (classes_of(part, len(config)), part.safety_index, part.safety_radii,
             bad_capacity_sum(config, part), overlap_pairs(config))
 
 
@@ -492,9 +505,10 @@ def scan_overlap_pairs(config):
     a = config.hole_radii(truncate=True)
     rescaled = a / eps
     big, small = np.flatnonzero(rescaled > 0.25), rescaled <= 0.25
+    index = SpatialIndex(config.points)
     count = 0
     if not config.is_lattice:      # lattice points are at least one apart
-        i, j = config.index.close_pairs(0.5)
+        i, j = index.close_pairs(0.5)
         keep = small[i] & small[j]
         i, j = i[keep], j[keep]
         diff = config.rescaled(i) - config.rescaled(j)
@@ -502,7 +516,7 @@ def scan_overlap_pairs(config):
         count += int(np.count_nonzero(dist < a[i] + a[j]))
     if big.size == 0:
         return count
-    c, k = config.index.query(config.points[big], rescaled[big] + rescaled.max() + 1e-12)
+    c, k = index.query(config.points[big], rescaled[big] + rescaled.max() + 1e-12)
     b = big[c]
     keep = k != b
     b, k = b[keep], k[keep]
@@ -521,7 +535,7 @@ def scan_good_holes_disjoint(config, part):
         return True, ""
     trunc = np.minimum(config.hole_radii(), 1.0)
     reach = 2.0 * float(trunc[good].max()) / config.spec.epsilon
-    i, j = config.index.close_pairs(max(reach, 1e-9))
+    i, j = SpatialIndex(config.points).close_pairs(max(reach, 1e-9))
     keep = np.isin(i, good) & np.isin(j, good)
     i, j = i[keep], j[keep]
     diff = config.centers(i) - config.centers(j)
@@ -593,7 +607,6 @@ def test_pair_searches_match_whole_configuration_scans(process, shape, beta):
 
 @pytest.mark.parametrize("process", ["lattice", "poisson"])
 def test_pair_searches_scan_no_pairs(process, monkeypatch):
-    from holelab.index import SpatialIndex
     monkeypatch.setattr(SpatialIndex, "close_pairs",
                         lambda *a, **k: pytest.fail("whole-configuration pair scan"))
     spec = make_spec(process, epsilon=1 / 8, seed=1,
@@ -602,10 +615,10 @@ def test_pair_searches_scan_no_pairs(process, monkeypatch):
     config.rho = config.rho.copy()
     config.rho[len(config) // 2] = 2.0 / spec.hole_scale      # truncated radius 1
     assert overlap_pairs(config) > 0
-    if process == "lattice":
-        assert config._index is None
     part = partition_configuration(config, 0.8)
     assert verify_partition(config, part).ok
     relabel_good(part, part.bad, drop_their_balls=False)
     failed = {c.name for c in verify_partition(config, part).checks if not c.passed}
     assert "good_holes_disjoint" in failed
+    if process == "lattice":
+        assert config._index is None

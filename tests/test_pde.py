@@ -470,7 +470,7 @@ def test_stencil_matches_reference_matrix(case):
 
 
 @pytest.mark.parametrize("case", ["ball", "holed_box"])
-def test_preconditioned_solve_matches_reference(case):
+def test_preconditioned_solve_matches_reference(case, monkeypatch):
     if case == "ball":
         grid = Grid.from_domain(DomainDescriptor("unit_ball"), 21)
         active = grid.inside_domain()
@@ -479,8 +479,9 @@ def test_preconditioned_solve_matches_reference(case):
     assert 0 < np.count_nonzero(active) < (grid.n - 2) ** 3
     rng = np.random.default_rng(6)
     b = rng.standard_normal(grid.shape)
+    monkeypatch.setattr(pde, "_RTOL", 1e-10)
     for shift in (0.0, 2.0 * grid.h ** 3):
-        u = pde._dirichlet_solve(active, b, grid, shift, 1e-10, "test")
+        u = pde._dirichlet_solve(active, b, grid, shift, "test")
         a_mat = reference_stiffness(active, grid.h) + shift * sp.identity(
             int(np.count_nonzero(active)), format="csr")
         want = spsolve(a_mat.tocsc(), b[active])
@@ -491,8 +492,9 @@ def test_preconditioned_solve_matches_reference(case):
 def test_iteration_limit_raises_with_residual(monkeypatch):
     grid, active = holed_box(21, 2)
     monkeypatch.setattr(pde, "_MAXITER", 1)
+    monkeypatch.setattr(pde, "_RTOL", 1e-10)
     with pytest.raises(pde.SolverError, match="perforation test") as info:
-        pde._dirichlet_solve(active, np.ones(grid.shape), grid, 0.0, 1e-10, "perforation test")
+        pde._dirichlet_solve(active, np.ones(grid.shape), grid, 0.0, "perforation test")
     assert "rtol=1e-10" in str(info.value) and "1 iterations" in str(info.value)
     assert len(info.value.residuals) == 1 and info.value.residuals[0] > 1e-10
 
