@@ -12,7 +12,6 @@ config), 3 failed while running.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -25,8 +24,9 @@ from .corrector import CorrectorField, build_capacity_measure, c0_constant, corr
 from .covering import (build_cube_covering, build_random_covering, mesoscale_k,
                        verify_random_covering)
 from .experiments import (HMINUS_TARGET, HMINUS_TOLERANCE, MeckeResult, exponent_table,
-                          hminus_setup, mecke_spec, periodic_hminus_rate)
-from .io_utils import write_csv, write_field, write_json
+                          hminus_setup, lattice_spec, mecke_spec, periodic_hminus_rate)
+from .io_utils import check_keys, write_csv, write_field, write_json
+from .marks import MarkDistribution
 from .partition import check_partition_scale, partition_configuration, verify_partition
 from .pde import Grid, check_grid_n, homogenization_error, homogenized_solve, solve_perforated
 from .process import (MECKE_FUNCTIONALS, ProcessSpec, check_delta, check_mecke_arguments,
@@ -39,9 +39,6 @@ logger = logging.getLogger("holelab")
 COMMANDS = ("sample", "partition", "corrector", "covering", "rates",
             "hminus", "solve", "mecke", "exponents")
 
-_SPEC_KEYS = {"d", "epsilon", "process", "lambda", "marks", "domain", "master_seed"}
-_MARKS_KEYS = {"kind", "r", "lo", "hi", "alpha", "x_min", "beta_eff", "eta_margin"}
-_DOMAIN_KEYS = {"shape", "half_width"}
 _SCHEMAS = {
     "sample": {"spec", "replicate"},
     "partition": {"spec", "replicate", "delta"},
@@ -56,38 +53,24 @@ _SCHEMAS = {
 }
 
 
-def _validate_keys(obj: dict, allowed, where: str):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
-
-
 def _config(args) -> dict:
     """The config file's keys (checked), each overridden by the flag of its name."""
     cfg = {}
     if args.config is not None:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        _validate_keys(cfg, _SCHEMAS[args.command], f"config for {args.command!r}")
-        if "spec" in cfg:
-            _validate_keys(cfg["spec"], _SPEC_KEYS, "spec")
-            for key, allowed in (("marks", _MARKS_KEYS), ("domain", _DOMAIN_KEYS)):
-                if key in cfg["spec"]:
-                    _validate_keys(cfg["spec"][key], allowed, f"spec.{key}")
+        check_keys(cfg, _SCHEMAS[args.command], f"config for {args.command!r}")
     cfg.update({key: value for key, value in vars(args).items()
                 if key in _SCHEMAS[args.command] and value is not None})
     return cfg
 
 
-def _default_spec() -> dict:
-    return {"d": 3, "epsilon": 0.125, "process": "lattice",
-            "marks": {"kind": "pareto", "beta_eff": 0.5},
-            "domain": {"shape": "axis_cube", "half_width": 1.0},
-            "master_seed": 0}
-
-
-def _spec_from(cfg: dict, args) -> ProcessSpec:
-    spec_obj = cfg.get("spec") or _default_spec()
+def _spec_from(cfg: dict, args, default=None) -> ProcessSpec:
+    """The config's spec, else default's (if None, pareto marks of beta_eff 0.5
+    on the lattice cube at eps = 1/8); --seed and --epsilon override their fields."""
+    if default is None:
+        default = lattice_spec(MarkDistribution.pareto_for_beta(3, 0.5), seed=0)
+    spec_obj = cfg.get("spec") or default.to_json()
     if args.seed is not None:
         spec_obj = dict(spec_obj, master_seed=args.seed)
     if getattr(args, "epsilon", None) is not None:
@@ -254,9 +237,7 @@ def _cmd_solve(args, cfg):
 
 
 def _cmd_mecke(args, cfg):
-    spec = ProcessSpec.from_json(cfg["spec"]) if cfg.get("spec") else mecke_spec(seed=0)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, master_seed=args.seed)
+    spec = _spec_from(cfg, args, mecke_spec(seed=0))
     trials = cfg.get("trials", 10000)
     names = [cfg["functional"]] if "functional" in cfg else list(MECKE_FUNCTIONALS)
     for name in names:

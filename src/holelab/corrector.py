@@ -144,9 +144,8 @@ def build_capacity_measure(field: CorrectorField) -> CapacityMeasure:
 
 
 def c0_constant(spec: ProcessSpec) -> float:
-    """Limit density of capacity: c_d E[rho^(d-2)], times the intensity for poisson."""
+    """Limit density of capacity: c_d E[rho^(d-2)] times the point density."""
     m = spec.marks.moment(spec.d - 2)
     if math.isinf(m):
         raise ValueError("the (d-2)-moment of the marks diverges")
-    c = capacity_normalization(spec.d) * m
-    return c * spec.intensity if spec.process == "poisson" else c
+    return capacity_normalization(spec.d) * m * spec.point_density

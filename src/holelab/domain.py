@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io_utils import check_keys
+
 
 @dataclass(frozen=True)
 class DomainDescriptor:
@@ -57,13 +59,13 @@ class DomainDescriptor:
         return np.sum(nearest ** 2, axis=-1) < 1.0
 
     def to_json(self) -> dict:
-        out = {"shape": self.shape}
-        if self.shape == "axis_cube":
-            out["half_width"] = self.half_width
-        return out
+        return {"shape": self.shape, "half_width": self.radius}
 
     @staticmethod
     def from_json(obj: dict) -> "DomainDescriptor":
-        if obj["shape"] == "axis_cube":
-            return DomainDescriptor("axis_cube", obj.get("half_width", 1.0))
-        return DomainDescriptor("unit_ball")
+        """half_width defaults to 1, the only value the unit ball takes."""
+        check_keys(obj, ("shape", "half_width"), "spec.domain", ("shape",))
+        half_width = obj.get("half_width", 1.0)
+        if obj["shape"] == "unit_ball" and half_width != 1:
+            raise ValueError(f"the unit ball has half_width 1, got {half_width!r}")
+        return DomainDescriptor(obj["shape"], half_width)

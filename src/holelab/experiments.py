@@ -214,16 +214,14 @@ def capacity_weight_variance(marks: MarkDistribution, d: int, eps: float):
         g = rho ** (d - 2)
         return g / (1.0 - 4.0 ** (d - 2) * eps ** 2 * g)
 
-    if marks.kind == "constant":
-        y = y_val(marks.params[0])
-        return y, 0.0
-    if marks.kind == "uniform":
-        lo, hi = marks.params
-        dens = 1.0 / (hi - lo)
-        m1, _ = quad(lambda r: y_val(r) * dens, lo, hi)
-        m2, _ = quad(lambda r: y_val(r) ** 2 * dens, lo, hi)
-        return m1, m2 - m1 ** 2
-    raise ValueError("variance oracle supports bounded mark laws")
+    lo, hi = marks.support
+    if lo == hi:
+        return y_val(lo), 0.0
+    if np.isinf(hi):
+        raise ValueError("variance oracle supports bounded mark laws")
+    m1, _ = quad(lambda r: y_val(r) * marks.density(r), lo, hi)
+    m2, _ = quad(lambda r: y_val(r) ** 2 * marks.density(r), lo, hi)
+    return m1, m2 - m1 ** 2
 
 
 @dataclass

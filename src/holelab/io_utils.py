@@ -1,4 +1,4 @@
-"""Atomic file outputs: CSV, JSON, and flat binary fields."""
+"""Atomic file outputs (CSV, JSON, flat binary fields); the key check of JSON inputs."""
 
 from __future__ import annotations
 
@@ -35,6 +35,16 @@ def atomic_open(path: str, mode: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def check_keys(obj, allowed, where: str, required=()) -> None:
+    """Refuse a JSON object that lacks a required key or has one outside allowed."""
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"{where} is missing required key(s): {', '.join(missing)}")
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

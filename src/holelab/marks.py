@@ -7,7 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io_utils import check_keys
+
 INF = math.inf
+
+# the JSON keys of each kind's params, in order; pareto also writes eta_margin
+_PARAM_KEYS = {"constant": ("r",), "uniform": ("lo", "hi"), "pareto": ("alpha", "x_min")}
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,30 @@ class MarkDistribution:
         return MarkDistribution("pareto", (alpha, x_min), beta_eff, eta_margin)
 
     # ------------------------------------------------------------------
+    @property
+    def support(self) -> tuple:
+        """(least, greatest) mark value: equal for constant marks, +inf for pareto."""
+        if self.kind == "pareto":
+            return self.params[1], INF
+        return self.params[0], self.params[-1]
+
+    @property
+    def tail_index(self) -> float:
+        """alpha of a pareto law, P(rho > t) ~ t^-alpha; +inf for bounded laws."""
+        return self.params[0] if self.kind == "pareto" else INF
+
+    def density(self, rho: float) -> float:
+        """Probability density at rho; a constant law (a point mass) has none."""
+        if self.kind == "constant":
+            raise ValueError("no density for constant marks")
+        lo, hi = self.support
+        if not lo <= rho <= hi:
+            return 0.0
+        if self.kind == "uniform":
+            return 1.0 / (hi - lo)
+        alpha, x = self.params
+        return alpha * x ** alpha * rho ** (-alpha - 1.0)
+
     def moment(self, p: float) -> float:
         """Closed-form E[rho^p]; +inf when the tail integral diverges."""
         if p < 0:
@@ -118,29 +147,30 @@ class MarkDistribution:
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "beta_eff": None if math.isinf(self.beta_eff) else self.beta_eff}
-        if self.kind == "constant":
-            out["r"] = self.params[0]
-        elif self.kind == "uniform":
-            out["lo"], out["hi"] = self.params
-        else:
-            out["alpha"], out["x_min"] = self.params
+        out.update(zip(_PARAM_KEYS[self.kind], self.params))
+        if self.kind == "pareto":
             out["eta_margin"] = self.eta_margin
         return out
 
     @staticmethod
     def from_json(obj: dict, d: int) -> "MarkDistribution":
-        kind = obj["kind"]
-        if kind == "constant":
-            return MarkDistribution.constant(obj["r"])
-        if kind == "uniform":
-            return MarkDistribution.uniform(obj["lo"], obj["hi"])
-        if kind == "pareto":
-            eta = obj.get("eta_margin", 0.05)
-            if "alpha" in obj and "x_min" in obj:
-                dist = MarkDistribution.pareto(obj["alpha"], obj["x_min"], d, eta)
-                if obj.get("beta_eff") is not None:
-                    # keep the stored effective beta bit-for-bit
-                    dist = MarkDistribution("pareto", dist.params, obj["beta_eff"], eta)
-                return dist
+        """The law ``to_json`` wrote; a pareto law given neither alpha nor
+        x_min is the one ``pareto_for_beta`` scales to its beta_eff."""
+        kind = obj.get("kind")
+        if kind not in _PARAM_KEYS:
+            raise ValueError(f"unknown mark kind {kind!r}")
+        keys, eta = _PARAM_KEYS[kind], obj.get("eta_margin", 0.05)
+        extra = ("eta_margin",) if kind == "pareto" else ()
+        scaled = kind == "pareto" and not set(keys) & set(obj)
+        check_keys(obj, ("kind", "beta_eff", *keys, *extra), "spec.marks",
+                   ("beta_eff",) if scaled else keys)
+        if scaled:
             return MarkDistribution.pareto_for_beta(d, obj["beta_eff"], eta)
-        raise ValueError(f"unknown mark kind {kind!r}")
+        params = [obj[key] for key in keys]       # each kind's factory takes them in order
+        if kind != "pareto":
+            return getattr(MarkDistribution, kind)(*params)
+        dist = MarkDistribution.pareto(*params, d, eta)
+        if obj.get("beta_eff") is not None:
+            # keep the stored effective beta bit-for-bit
+            dist = MarkDistribution("pareto", dist.params, obj["beta_eff"], eta)
+        return dist

@@ -17,12 +17,19 @@ import numpy as np
 
 from .domain import DomainDescriptor
 from .index import SpatialIndex
+from .io_utils import check_keys
 from .marks import MarkDistribution
 from .rng import coordinate_uniforms, replicate_generator
 
 
 class ResourceLimitError(RuntimeError):
     """Raised instead of silently truncating an oversised sample."""
+
+
+# the JSON keys of a spec, then those of each process; the lattice takes no lambda
+_REQUIRED_KEYS = ("d", "epsilon", "process", "marks")
+_SPEC_KEYS = _REQUIRED_KEYS + ("domain", "master_seed")
+_PROCESS_KEYS = {"lattice": (), "poisson": ("lambda",)}
 
 
 @dataclass(frozen=True)
@@ -38,60 +45,58 @@ class ProcessSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.d < 3:
-            raise ValueError("dimension must be >= 3")
+        check_integer("d", self.d, 3)
+        check_integer("master_seed", self.master_seed, 0)
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.process not in ("lattice", "poisson"):
+        if self.process not in _PROCESS_KEYS:
             raise ValueError(f"unknown process {self.process!r}")
         if self.process == "poisson":
             if self.intensity is None or self.intensity <= 0:
                 raise ValueError("poisson process needs intensity > 0")
-        if self.marks.kind == "pareto":
-            alpha, x_min = self.marks.params
-            if alpha <= self.d - 2:
-                raise ValueError("pareto tail index must exceed d-2")
-            if self.marks.beta_eff <= 0:
-                raise ValueError("effective beta must be positive")
+        elif self.intensity is not None:
+            raise ValueError("a lattice spec takes no intensity: the lattice has unit intensity")
+        if self.marks.tail_index <= self.d - 2:
+            raise ValueError("pareto tail index must exceed d-2")
+        if self.marks.beta_eff <= 0:
+            raise ValueError("effective beta must be positive")
 
     @property
     def hole_scale(self) -> float:
         """Radius prefactor epsilon^(d/(d-2)) multiplying each mark."""
         return self.epsilon ** (self.d / (self.d - 2))
 
+    @property
+    def point_density(self) -> float:
+        """Centres per unit rescaled volume: the intensity, one on the lattice."""
+        return 1.0 if self.process == "lattice" else self.intensity
+
     def expected_points(self) -> float:
         """Mean point count; the Poisson draw takes it as its parameter."""
-        lam = 1.0 if self.process == "lattice" else self.intensity
-        return lam * self.domain.volume(self.d) / self.epsilon ** self.d
+        return self.point_density * self.domain.volume(self.d) / self.epsilon ** self.d
 
     def with_epsilon(self, epsilon: float) -> "ProcessSpec":
         return replace(self, epsilon=epsilon)
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "epsilon": self.epsilon,
-            "process": self.process,
-            "lambda": self.intensity,
-            "marks": self.marks.to_json(),
-            "domain": self.domain.to_json(),
-            "master_seed": self.master_seed,
-        }
+        values = (self.d, self.epsilon, self.process, self.marks.to_json(),
+                  self.domain.to_json(), self.master_seed, self.intensity)
+        # the intensity, last, is written only under a process that takes it
+        return dict(zip(_SPEC_KEYS + _PROCESS_KEYS[self.process], values))
 
     @staticmethod
     def from_json(obj: dict) -> "ProcessSpec":
-        missing = [k for k in ("d", "epsilon", "process", "marks") if k not in obj]
-        if missing:
-            raise ValueError(f"spec is missing required key(s): {', '.join(missing)}")
-        d = int(obj["d"])
+        """The spec ``to_json`` wrote; domain and master_seed may be left out."""
+        check_keys(obj, _SPEC_KEYS + _PROCESS_KEYS.get(obj.get("process"), ("lambda",)),
+                   "spec", _REQUIRED_KEYS)
         return ProcessSpec(
-            d=d,
+            d=obj["d"],
             epsilon=float(obj["epsilon"]),
             process=obj["process"],
-            marks=MarkDistribution.from_json(obj["marks"], d),
-            domain=DomainDescriptor.from_json(obj.get("domain", {"shape": "axis_cube", "half_width": 1.0})),
+            marks=MarkDistribution.from_json(obj["marks"], obj["d"]),
+            domain=DomainDescriptor.from_json(obj.get("domain", {"shape": "axis_cube"})),
             intensity=obj.get("lambda"),
-            master_seed=int(obj.get("master_seed", 0)),
+            master_seed=obj.get("master_seed", 0),
         )
 
 

@@ -60,8 +60,7 @@ def theoretical_exponents(d: int, beta_eff: float,
     actual tail index; bounded marks produce no overlaps at small epsilon
     and get None.
     """
-    if d < 3:
-        raise ValueError("d must be >= 3")
+    check_integer("d", d, 3)
     if beta_eff <= 0:
         raise ValueError("beta must be positive (or +inf)")
     if math.isinf(beta_eff) or beta_eff > d - 2:
@@ -72,8 +71,8 @@ def theoretical_exponents(d: int, beta_eff: float,
         rate = d * beta_eff / (d * d - 4.0)
     bad_exp = 0.0 if math.isinf(beta_eff) else (2.0 / (d - 2) - delta) * beta_eff
     overlap = None
-    if marks is not None and marks.kind == "pareto":
-        alpha = marks.params[0]
+    alpha = math.inf if marks is None else marks.tail_index
+    if math.isfinite(alpha):
         # mean pair count ~ eps^{-d} * integral over separations r of
         # r^{d-1} P(rho > eps^{-2/(d-2)} r); the integral is cut at the
         # hole-radius cap when alpha < d and converges on its own otherwise
@@ -102,11 +101,11 @@ def pair_overlap_probability(marks: MarkDistribution, scale: float, s: float,
     if s >= 2.0:
         return 0.0
 
-    if marks.kind == "constant":
-        r = marks.params[0]
-        if r > mark_cap:
+    lo, sup = marks.support
+    if lo == sup:                       # constant marks: no density
+        if sup > mark_cap:
             return 0.0
-        return 1.0 if 2.0 * min(scale * r, 1.0) > s else 0.0
+        return 1.0 if 2.0 * min(scale * sup, 1.0) > s else 0.0
 
     cap_p = float(marks.tail(mark_cap)) if math.isfinite(mark_cap) else 0.0
 
@@ -120,11 +119,8 @@ def pair_overlap_probability(marks: MarkDistribution, scale: float, s: float,
 
     def integrand(log_rho):
         rho = math.exp(log_rho)
-        dens = _mark_density(marks, rho)
-        return tail_t((s - scale * rho) / scale) * dens * rho
+        return tail_t((s - scale * rho) / scale) * marks.density(rho) * rho
 
-    # the mark support: [lo, hi] for uniform marks, [x_min, inf) for pareto
-    lo, sup = marks.params if marks.kind == "uniform" else (marks.params[1], math.inf)
     if s > 1.0:
         # the partner radius is capped at one, so only a1 > s - 1 can help
         lo = max(lo, (s - 1.0) / scale)
@@ -135,16 +131,6 @@ def pair_overlap_probability(marks: MarkDistribution, scale: float, s: float,
     if s > 1.0:
         p += tail_t(1.0 / scale) * tail_t((s - 1.0) / scale)
     return min(p, 1.0)
-
-
-def _mark_density(marks: MarkDistribution, rho: float) -> float:
-    if marks.kind == "uniform":
-        lo, hi = marks.params
-        return 1.0 / (hi - lo) if lo <= rho <= hi else 0.0
-    if marks.kind == "pareto":
-        alpha, x = marks.params
-        return alpha * x ** alpha * rho ** (-alpha - 1.0) if rho >= x else 0.0
-    raise ValueError("no density for constant marks")
 
 
 def expected_overlap_pairs(spec: ProcessSpec, epsilon: float,
@@ -164,15 +150,12 @@ def expected_overlap_pairs(spec: ProcessSpec, epsilon: float,
     d = spec.d
     scale = epsilon ** (d / (d - 2))
     marks = spec.marks
-    vol = spec.domain.volume(d)
-    n_points = vol / epsilon ** d
-    if spec.process == "poisson":
-        n_points *= spec.intensity
+    lam = spec.point_density
+    n_points = spec.domain.volume(d) / epsilon ** d * lam
 
-    mark_cap = math.inf
-    if ensemble_draws is not None and marks.kind == "pareto":
-        alpha, x = marks.params
-        mark_cap = x * ensemble_draws ** (1.0 / alpha)
+    mark_cap, alpha = math.inf, marks.tail_index
+    if ensemble_draws is not None and math.isfinite(alpha):
+        mark_cap = marks.support[0] * ensemble_draws ** (1.0 / alpha)
 
     area = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
     r_min = 1.0 if spec.process == "lattice" else 1e-3
@@ -187,7 +170,6 @@ def expected_overlap_pairs(spec: ProcessSpec, epsilon: float,
         # roundoff warning is immaterial at these magnitudes
         warnings.simplefilter("ignore", IntegrationWarning)
         val, _ = quad(shell, math.log(r_min), math.log(r_max), limit=400)
-    lam = 1.0 if spec.process == "lattice" else spec.intensity
     return 0.5 * n_points * lam * val
 
 
@@ -244,9 +226,8 @@ def _cell_averages(config: MarkedConfiguration, covering, keep: np.ndarray) -> n
 
 
 def density_centering(spec: ProcessSpec) -> float:
-    """Analytic centring E[rho^(d-2)], times the intensity for poisson."""
-    m = spec.marks.moment(spec.d - 2)
-    return m * spec.intensity if spec.process == "poisson" else m
+    """Analytic centring E[rho^(d-2)] times the point density."""
+    return spec.marks.moment(spec.d - 2) * spec.point_density
 
 
 def quenched_error_surrogate(config: MarkedConfiguration, partition, covering,

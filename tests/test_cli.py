@@ -48,7 +48,7 @@ def test_exponents_refuses_d_0(tmp_path, capsys):
     # 0 is a value, not a request for the default d = 3
     out = tmp_path / "out"
     code = run(["exponents", "--d", "0", "--out-dir", str(out)])
-    assert code == 2 and "d must be >= 3" in capsys.readouterr().err
+    assert code == 2 and "d must be an integer >= 3" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -286,6 +286,19 @@ _LATTICE_HALF = {"d": 3, "epsilon": 0.125, "process": "lattice",
     # the fit's tolerance is a number >= 0, and "random" a JSON bool
     *[("rates", {"tolerance": t}, "tolerance must be a number >= 0") for t in ("abc", -0.5)],
     ("covering", {"random": "no", "spec": _POISSON}, '"random" must be true or false'),
+    # spec fields that were read as something else: "cube" as the unit ball,
+    # a ball's half-width, a lattice lambda and a lone pareto alpha dropped,
+    # a fractional d or master_seed truncated
+    ("sample", {"spec": dict(_LATTICE_HALF, domain={"shape": "cube", "half_width": 0.5})},
+     "unknown domain shape 'cube'"),
+    ("sample", {"spec": dict(_LATTICE_HALF, domain={"shape": "unit_ball", "half_width": 0.5})},
+     "the unit ball has half_width 1, got 0.5"),
+    ("sample", {"spec": dict(_LATTICE_HALF, **{"lambda": 5.0})}, "unknown keys ['lambda'] in spec"),
+    ("sample", {"spec": dict(_POISSON, marks={"kind": "pareto", "alpha": 3.0, "beta_eff": 0.5})},
+     "spec.marks is missing required key(s): x_min"),
+    ("sample", {"spec": dict(_POISSON, d=3.7)}, "d must be an integer >= 3, got 3.7"),
+    ("sample", {"spec": dict(_POISSON, master_seed=1.9)}, "master_seed must be an integer >= 0, got 1.9"),
+    ("exponents", {"d": 3.5}, "d must be an integer >= 3, got 3.5"),
 ], ids=["partition_delta", "corrector_delta", "covering_k", "covering_fractional_k",
         "covering_delta", "rates_k", "covering_oversized_k", "rates_oversized_k",
         "rates_no_interior_cell", "rates_quantity", "solve_delta", "mecke_trials", "mecke_lattice",
@@ -295,7 +308,9 @@ _LATTICE_HALF = {"d": 3, "epsilon": 0.125, "process": "lattice",
         "covering_bool_k", "rates_fractional_replicates", "mecke_fractional_trials",
         "solve_grid_n_1", "solve_grid_n_2", "hminus_grid_n", "rates_hminus_grid_n",
         "hminus_epsilon", "rates_overlap_epsilon", "rates_text_tolerance",
-        "rates_negative_tolerance", "covering_text_random"])
+        "rates_negative_tolerance", "covering_text_random", "domain_cube", "ball_half_width",
+        "lattice_lambda", "pareto_lone_alpha", "fractional_d", "fractional_seed",
+        "exponents_fractional_d"])
 def test_config_faults_refused_before_the_dry_run(tmp_path, capsys, monkeypatch, command,
                                                   config, message, dry_run):
     import holelab.cli as cli
@@ -309,6 +324,21 @@ def test_config_faults_refused_before_the_dry_run(tmp_path, capsys, monkeypatch,
     assert code == 2 and message in captured.err
     assert "would" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("where", ["spec", "spec.marks", "spec.domain"])
+def test_unknown_nested_key_refused(tmp_path, capsys, where, dry_run):
+    spec = json.loads(json.dumps(_LATTICE_HALF))
+    obj = {"spec": spec, "spec.marks": spec["marks"], "spec.domain": spec["domain"]}[where]
+    obj["bogus_nested"] = 1
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"spec": spec}))
+    out = tmp_path / "out"
+    code = run(["sample", "--config", str(cfg), "--out-dir", str(out)] + ["--dry-run"] * dry_run)
+    captured = capsys.readouterr()
+    assert code == 2 and f"unknown keys ['bogus_nested'] in {where}" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_partition_and_covering_outputs(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import re
 from pathlib import Path
@@ -240,6 +241,50 @@ def test_spec_json_roundtrip():
     assert back == spec
 
 
+_LAWS = {"constant": MarkDistribution.constant(1.5),
+         "uniform": MarkDistribution.uniform(0.5, 2.0),
+         "pareto": MarkDistribution.pareto(1.7, 0.3, 3),
+         "pareto_for_beta": MarkDistribution.pareto_for_beta(3, 0.5, eta_margin=0.1)}
+
+
+@pytest.mark.parametrize("law", sorted(_LAWS))
+@pytest.mark.parametrize("domain", [DomainDescriptor("axis_cube", 0.5), DomainDescriptor("unit_ball")],
+                         ids=["axis_cube", "unit_ball"])
+@pytest.mark.parametrize("process, lam", [("lattice", None), ("poisson", 2.5)])
+def test_spec_json_text_roundtrip(law, domain, process, lam):
+    # the rates worker rebuilds each job's spec from to_json
+    spec = ProcessSpec(d=3, epsilon=0.125, process=process, marks=_LAWS[law],
+                       domain=domain, intensity=lam, master_seed=3)
+    assert ProcessSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"d": 3.7}, "d must be an integer >= 3"),
+    ({"master_seed": 1.9}, "master_seed must be an integer >= 0"),
+    ({"master_seed": True}, "master_seed must be an integer >= 0"),
+    ({"master_seed": -1}, "master_seed must be an integer >= 0"),
+    ({"intensity": 5.0}, "a lattice spec takes no intensity"),
+])
+def test_spec_refuses_fields_it_would_misread(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ProcessSpec(**dict(dict(d=3, epsilon=0.25, process="lattice",
+                                marks=MarkDistribution.constant(1.0)), **fields))
+
+
+def test_mark_law_members():
+    pareto = MarkDistribution.pareto(1.7, 0.3, 3)
+    assert pareto.support == (0.3, math.inf) and pareto.tail_index == 1.7
+    assert pareto.density(0.2) == 0.0
+    assert pareto.density(0.6) == pytest.approx(1.7 * 0.3 ** 1.7 * 0.6 ** -2.7)
+    uniform = MarkDistribution.uniform(0.5, 2.0)
+    assert uniform.support == (0.5, 2.0) and uniform.tail_index == math.inf
+    assert (uniform.density(1.0), uniform.density(2.5)) == (1.0 / 1.5, 0.0)
+    constant = MarkDistribution.constant(1.5)
+    assert constant.support == (1.5, 1.5) and constant.tail_index == math.inf
+    with pytest.raises(ValueError, match="no density"):
+        constant.density(1.5)
+
+
 # ----------------------------------------------------------------------
 # minimal distance and thinning
 # ----------------------------------------------------------------------
@@ -380,6 +425,43 @@ def test_one_neighbour_search_in_the_package():
     users = [path.name for path in sorted(src.glob("*.py"))
              if re.search(r"scipy\.spatial|cKDTree", path.read_text())]
     assert users == ["index.py"]
+
+
+def test_mark_laws_read_only_in_marks():
+    # a law's kind and params are read by MarkDistribution alone; other
+    # modules ask its support, tail_index, density and moments
+    src = Path(holelab.__file__).parent
+    readers = [path.name for path in sorted(src.glob("*.py"))
+               if re.search(r"\.(kind|params)\b", path.read_text())]
+    assert readers == ["marks.py"]
+
+
+def test_intensity_read_only_in_process():
+    # the lattice's unit intensity is stated once, by ProcessSpec.point_density
+    src = Path(holelab.__file__).parent
+    readers = [path.name for path in sorted(src.glob("*.py"))
+               if re.search(r"\.intensity\b", path.read_text())]
+    assert readers == ["process.py"]
+
+
+def test_cli_names_no_spec_key():
+    # the spec format belongs to ProcessSpec, MarkDistribution and
+    # DomainDescriptor; cli.py hands the config's spec to from_json whole.
+    # "d" and "epsilon" are also the exponents command's own config keys,
+    # and a CSV header may name a column after a spec field.
+    import holelab.cli as cli
+    specs = [ProcessSpec(d=3, epsilon=0.125, process=process, marks=law, intensity=lam)
+             for law in _LAWS.values() for process, lam in (("lattice", None), ("poisson", 1.0))]
+    keys = set().union(*(set(spec.to_json()) | set(spec.marks.to_json()) for spec in specs),
+                       DomainDescriptor("unit_ball").to_json())
+    tree = ast.parse(Path(cli.__file__).read_text())
+    headers = {id(node) for call in ast.walk(tree)
+               if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "write_csv"
+               for node in ast.walk(call.args[1])}
+    literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and isinstance(node.value, str) and id(node) not in headers}
+    own = set().union(*cli._SCHEMAS.values())
+    assert keys & literals - own == set()
 
 
 def test_one_poisson_draw_in_the_package():
